@@ -5,19 +5,19 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.evaluation import EvaluationSettings
+from repro.runtime.config import RuntimeConfig
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Full-fidelity settings (the paper's configuration).
-FULL_SETTINGS = EvaluationSettings(
+FULL_SETTINGS = RuntimeConfig(
     yield_trials=10_000,
     frequency_local_trials=2000,
     random_bus_seeds=(1, 2, 3, 4, 5),
 )
 
 #: Reduced settings used by default so the harness stays laptop-friendly.
-QUICK_SETTINGS = EvaluationSettings(
+QUICK_SETTINGS = RuntimeConfig(
     yield_trials=4000,
     frequency_local_trials=800,
     random_bus_seeds=(1, 2),
@@ -41,7 +41,7 @@ def full_run_requested() -> bool:
     return os.environ.get("REPRO_BENCH_FULL", "0") not in ("0", "", "false")
 
 
-def active_settings() -> EvaluationSettings:
+def active_settings() -> RuntimeConfig:
     return FULL_SETTINGS if full_run_requested() else QUICK_SETTINGS
 
 

@@ -43,10 +43,10 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.dag import CircuitDAG, DAGNode, ExecutionFrontier
 from repro.circuit.gates import Gate
 from repro.design import DesignFlow, DesignOptions
-from repro.evaluation.experiment import DEFAULT_EVALUATION_ROUTING
 from repro.hardware import ibm_16q_2x8, ibm_20q_4x5
 from repro.mapping import DistanceMatrix, RoutingEngine, initial_mapping
 from repro.profiling import profile_circuit
+from repro.runtime.config import DEFAULT_EVALUATION_ROUTING
 
 from _bench_utils import RESULTS_DIR, write_result
 

@@ -46,6 +46,7 @@ from repro.evaluation.experiment import DataPoint
 from repro.hardware.architecture import Architecture
 from repro.hardware.bus import BusType, four_qubit_bus, two_qubit_bus
 from repro.hardware.lattice import Lattice, Square
+from repro.runtime.config import RuntimeConfig
 
 #: A generation task's recorded rows: ``(benchmark, config value,
 #: architecture index, architecture)`` — exactly the worker task output.
@@ -58,7 +59,7 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def generation_task_key(benchmark: str, config_value: str, settings) -> str:
+def generation_task_key(benchmark: str, config_value: str, settings: RuntimeConfig) -> str:
     """Content digest of one architecture-generation task.
 
     Covers every setting that can change which architectures the task
@@ -81,7 +82,7 @@ def point_task_key(
     config_value: str,
     arch_index: int,
     architecture: Architecture,
-    settings,
+    settings: RuntimeConfig,
 ) -> str:
     """Content digest of one point-evaluation task.
 

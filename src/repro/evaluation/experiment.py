@@ -15,18 +15,17 @@ scored on the two axes of the paper's Figure 10:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.collision.yield_simulator import YieldSimulator
 from repro.design.engine import DesignEngine
 from repro.evaluation.configs import ExperimentConfig, architectures_for_config
 from repro.hardware.architecture import Architecture
-from repro.hardware.frequency import DEFAULT_SIGMA_GHZ
 from repro.mapping.engine import RoutingEngine
 from repro.mapping.router import route_circuit
-from repro.mapping.sabre import SabreParameters
 from repro.profiling.profiler import CircuitProfile
+from repro.runtime.config import RuntimeConfig
 
 #: Configurations evaluated by default (all five, as in Figure 10).
 DEFAULT_CONFIGS = (
@@ -37,94 +36,7 @@ DEFAULT_CONFIGS = (
     ExperimentConfig.EFF_LAYOUT_ONLY,
 )
 
-#: Router parameters used by the evaluation harness by default.
-#:
-#: Bidirectional forward-backward-forward routing (``passes=3``) is
-#: deterministic and never worse than a single pass (qft_16: 134 → 72
-#: swaps), and with the persistent ``RoutingCache`` merged in-worker its
-#: ~3x routing cost is paid once per (circuit, architecture) ever — so
-#: evaluation defaults to it.  ``SabreParameters()`` itself keeps
-#: ``passes=1``: the router's own default stays the paper-exact single
-#: pass; only the evaluation harness opts into the quality win.
-DEFAULT_EVALUATION_ROUTING = SabreParameters(passes=3)
-
-
-@dataclass(frozen=True)
-class EvaluationSettings:
-    """Knobs of the evaluation harness.
-
-    Attributes:
-        yield_trials: Monte Carlo trials per architecture (paper: 10,000).
-        sigma_ghz: Fabrication precision (paper: 30 MHz).
-        yield_seed: Seed of the yield simulator (common random numbers
-            across architectures).
-        frequency_local_trials: Trials per candidate inside Algorithm 3.
-        random_bus_seeds: Seeds for the ``eff-rd-bus`` sample cloud.
-        keep_routed_circuits: Whether mapping results retain full circuits
-            (disabled by default to keep sweeps light).
-        routing: Router tuning parameters shared by every evaluation point
-            (bidirectional passes, seeded restarts, look-ahead window).
-            Defaults to :data:`DEFAULT_EVALUATION_ROUTING` — bidirectional
-            ``passes=3`` routing, deterministic and never worse than the
-            single-pass router default.
-        routing_cache_path: Optional path to a persisted routing-result
-            cache (see :meth:`~repro.mapping.engine.RoutingCache.load`):
-            evaluation engines warm-load it, so repeated sweeps reuse
-            routing results across processes.  Missing files are ignored.
-        allocation_strategy: Algorithm 3 search strategy used by the
-            design-flow configurations (``eff-full`` / ``eff-rd-bus``);
-            the paper-exact ``bfs-greedy`` by default.  Setting
-            ``analytic-guided`` or ``coordinate-descent`` runs the whole
-            sweep as that ablation — byte-identically for any job count.
-        design_cache_path: Optional path to a persisted design-stage
-            cache (see :class:`~repro.design.engine.DesignCache`):
-            design engines warm-load it, so repeated evaluations reuse
-            Algorithm 3 frequency plans across processes.  Missing files
-            are ignored.
-        screening: Whether Algorithm 3 uses the exact interval-count
-            screening engine (:mod:`repro.collision.screening`) on the
-            cold path.  Screening is winner-preserving — sweep outputs
-            are byte-identical with it on or off, for any job count —
-            so ``False`` (the ``--no-screening`` CLI flag) exists as an
-            escape hatch and benchmark baseline.
-        checkpoint_path: Optional path to a sweep checkpoint store (see
-            :class:`~repro.evaluation.checkpoint.SweepCheckpoint`, any
-            :mod:`repro.persistence` backend): workers record every
-            completed generation and evaluation task into it, so an
-            interrupted sweep can be restarted.
-        resume: Skip sweep tasks already recorded in the checkpoint
-            store.  Resume lookups are keyed by content digests of each
-            task's full identity (inputs plus result-affecting
-            settings), so a resumed sweep is byte-identical to an
-            uninterrupted one — and never replays stale results after a
-            settings change.  Requires ``checkpoint_path``.
-    """
-
-    yield_trials: int = 10_000
-    sigma_ghz: float = DEFAULT_SIGMA_GHZ
-    yield_seed: int = 7
-    frequency_local_trials: int = 2000
-    random_bus_seeds: Sequence[int] = (1, 2, 3, 4, 5)
-    keep_routed_circuits: bool = False
-    routing: SabreParameters = DEFAULT_EVALUATION_ROUTING
-    routing_cache_path: Optional[str] = None
-    allocation_strategy: str = "bfs-greedy"
-    design_cache_path: Optional[str] = None
-    screening: bool = True
-    checkpoint_path: Optional[str] = None
-    resume: bool = False
-
-    def __post_init__(self) -> None:
-        # Fail fast — before any worker forks — on a strategy name no
-        # allocator will accept.
-        from repro.design.frequency_allocation import resolve_strategy
-
-        resolve_strategy(self.allocation_strategy)
-        if self.resume and not self.checkpoint_path:
-            raise ValueError("resume=True requires checkpoint_path")
-
-
-def design_engine_for(settings: EvaluationSettings) -> DesignEngine:
+def design_engine_for(settings: RuntimeConfig) -> DesignEngine:
     """A fresh :class:`DesignEngine` warm-loaded per ``settings``.
 
     The single construction path used by the serial harness, the sweep
@@ -199,7 +111,7 @@ class ExperimentResult:
 def evaluate_benchmark(
     circuit: QuantumCircuit,
     configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
-    settings: Optional[EvaluationSettings] = None,
+    settings: Optional[RuntimeConfig] = None,
     engine: Optional[RoutingEngine] = None,
     design_engine: Optional[DesignEngine] = None,
 ) -> ExperimentResult:
@@ -219,7 +131,7 @@ def evaluate_benchmark(
             stages and its memoized frequency allocations (results are
             identical with or without one).
     """
-    settings = settings or EvaluationSettings()
+    settings = settings or RuntimeConfig()
     simulator = YieldSimulator(
         trials=settings.yield_trials, sigma_ghz=settings.sigma_ghz, seed=settings.yield_seed
     )
@@ -256,7 +168,7 @@ def evaluate_benchmark(
 def evaluate_suite(
     circuits: Dict[str, QuantumCircuit],
     configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
-    settings: Optional[EvaluationSettings] = None,
+    settings: Optional[RuntimeConfig] = None,
 ) -> Dict[str, ExperimentResult]:
     """Evaluate several benchmarks (the full Figure 10 grid by default).
 
@@ -265,7 +177,7 @@ def evaluate_suite(
     and distance matrices, and design stages shared across circuits are
     computed once.
     """
-    settings = settings or EvaluationSettings()
+    settings = settings or RuntimeConfig()
     engine = RoutingEngine(settings.routing)
     if settings.routing_cache_path:
         engine.cache.load(settings.routing_cache_path, missing_ok=True)
@@ -283,7 +195,7 @@ def evaluate_point(
     architecture: Architecture,
     config: ExperimentConfig,
     simulator: YieldSimulator,
-    settings: EvaluationSettings,
+    settings: RuntimeConfig,
     engine: Optional[RoutingEngine] = None,
 ) -> DataPoint:
     """Score one (benchmark, architecture) evaluation point of Figure 10.

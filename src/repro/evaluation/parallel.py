@@ -49,13 +49,13 @@ from repro.evaluation.configs import ExperimentConfig, architectures_for_config
 from repro.evaluation.experiment import (
     DEFAULT_CONFIGS,
     DataPoint,
-    EvaluationSettings,
     ExperimentResult,
     evaluate_point,
 )
 from repro.hardware.architecture import Architecture
 from repro.mapping.engine import RoutingEngine
 from repro.profiling.profiler import profile_circuit
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import Snapshot, diff_snapshots, global_metrics
 from repro.utils.rng import seed_for
 
@@ -119,22 +119,22 @@ def sweep_point_seed(base_seed: int, benchmark: str, config_value: str, arch_ind
 # ---------------------------------------------------------------------------
 
 
-def _worker_session(settings: EvaluationSettings) -> Session:
+def _worker_session(settings: RuntimeConfig) -> Session:
     """This process's session for ``settings`` (created on first use)."""
-    return _session_module().session_for(settings=settings)
+    return _session_module().session_for(settings)
 
 
-def _worker_engine(settings: EvaluationSettings) -> RoutingEngine:
+def _worker_engine(settings: RuntimeConfig) -> RoutingEngine:
     """The session-owned routing engine, warm-loaded from the persistent cache."""
     return _worker_session(settings).routing_engine
 
 
-def _worker_design_engine(settings: EvaluationSettings) -> DesignEngine:
+def _worker_design_engine(settings: RuntimeConfig) -> DesignEngine:
     """The session-owned design engine, warm-loaded from the persistent cache."""
     return _worker_session(settings).design_engine
 
 
-def _worker_checkpoint(settings: EvaluationSettings) -> Optional[SweepCheckpoint]:
+def _worker_checkpoint(settings: RuntimeConfig) -> Optional[SweepCheckpoint]:
     if not settings.checkpoint_path:
         return None
     return _worker_session(settings).checkpoint
@@ -164,7 +164,7 @@ def active_routing_engines() -> List[RoutingEngine]:
     ]
 
 
-def save_worker_routing_cache(settings: EvaluationSettings) -> Optional[int]:
+def save_worker_routing_cache(settings: RuntimeConfig) -> Optional[int]:
     """Persist this process's unmerged routing results, if any remain.
 
     Returns the number of entries the cache file holds after a merge, or
@@ -177,33 +177,14 @@ def save_worker_routing_cache(settings: EvaluationSettings) -> Optional[int]:
     one cache path cannot drop each other's entries and the file never
     shrinks to one saver's LRU bound.
     """
-    session = _session_module().peek_session(settings=settings)
+    session = _session_module().peek_session(settings)
     if session is None:
         return None
     return session.persist_routing()
 
 
-def worker_cache_stats(settings: EvaluationSettings) -> Dict[str, Dict[str, int]]:
-    """Cache statistics of this process's session engines (``--cache-stats``).
-
-    Returns whatever engines this process actually ran: ``routing`` maps
-    to the :class:`~repro.mapping.engine.RoutingCache` counters and
-    ``design/<stage>`` to the per-stage :meth:`DesignEngine.stats`
-    counters.  An in-process sweep (``--jobs 1``) reports the full
-    session; in a ``--jobs N`` sweep each worker process owns its
-    counters, so this report only covers work the calling process did
-    itself (typically none) — the CLI notes that limitation rather than
-    pretending to aggregate.  ``--metrics-out`` is the aggregated,
-    structured successor.
-    """
-    session = _session_module().peek_session(settings=settings)
-    if session is None:
-        return {}
-    return session.cache_stats()
-
-
 def _generate_task(
-    task: Tuple[str, str, EvaluationSettings],
+    task: Tuple[str, str, RuntimeConfig],
 ) -> Tuple[List[Tuple[str, str, int, Architecture]], Snapshot]:
     benchmark, config_value, settings = task
     baseline = global_metrics().snapshot()
@@ -212,7 +193,7 @@ def _generate_task(
 
 
 def _generate_rows(
-    benchmark: str, config_value: str, settings: EvaluationSettings,
+    benchmark: str, config_value: str, settings: RuntimeConfig,
 ) -> List[Tuple[str, str, int, Architecture]]:
     session = _worker_session(settings)
     checkpoint = session.checkpoint
@@ -256,7 +237,7 @@ def _generate_rows(
 
 
 def _evaluate_task(
-    task: Tuple[str, str, int, Architecture, EvaluationSettings],
+    task: Tuple[str, str, int, Architecture, RuntimeConfig],
 ) -> Tuple[DataPoint, Snapshot]:
     benchmark, config_value, arch_index, architecture, settings = task
     baseline = global_metrics().snapshot()
@@ -266,7 +247,7 @@ def _evaluate_task(
 
 def _evaluate_one(
     benchmark: str, config_value: str, arch_index: int,
-    architecture: Architecture, settings: EvaluationSettings,
+    architecture: Architecture, settings: RuntimeConfig,
 ) -> DataPoint:
     session = _worker_session(settings)
     checkpoint = session.checkpoint
@@ -320,13 +301,13 @@ class SweepExecutor:
 
     def __init__(
         self,
-        settings: Optional[EvaluationSettings] = None,
+        settings: Optional[RuntimeConfig] = None,
         configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
         jobs: int = 1,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.settings = settings or EvaluationSettings()
+        self.settings = settings or RuntimeConfig()
         self.configs = tuple(configs)
         self.jobs = int(jobs)
 
@@ -409,7 +390,7 @@ class SweepExecutor:
 def run_sweep(
     benchmarks: Sequence[str],
     jobs: int = 1,
-    settings: Optional[EvaluationSettings] = None,
+    settings: Optional[RuntimeConfig] = None,
     configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
 ) -> Dict[str, ExperimentResult]:
     """One-call convenience wrapper around :class:`SweepExecutor`."""

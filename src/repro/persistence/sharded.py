@@ -29,13 +29,14 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.persistence.store import (
     CacheStore,
     WrongFormatError,
     atomic_write_text,
     cache_file_lock,
+    canonical_key,
     key_digest,
     validate_envelope,
 )
@@ -214,11 +215,11 @@ class ShardedStore(CacheStore):
                         self._quarantine(shard, "unreadable during merge", kind)
                     else:
                         existing = loaded
-                merged: Dict[Tuple, dict] = {}
+                merged: Dict[str, dict] = {}
                 for record in existing:
-                    merged[key_of(record)] = record
+                    merged[canonical_key(key_of(record))] = record
                 for record in groups[shard_id]:
-                    merged[key_of(record)] = record
+                    merged[canonical_key(key_of(record))] = record
                 self._write_shard(shard, file_format, version, list(merged.values()))
         return self.count_entries(file_format, version, kind)
 

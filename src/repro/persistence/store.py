@@ -380,11 +380,13 @@ class SingleFileStore(CacheStore):
     def union_merge(self, file_format, version, records, key_of, kind=None):
         with cache_file_lock(self.path):
             existing = self.read(file_format, version, missing_ok=True, kind=kind)
-            merged: Dict = {}
+            # Index by canonical JSON text, as the SQLite backend does: by
+            # Python equality, (0,), (0.0,) and (False,) would collapse.
+            merged: Dict[str, dict] = {}
             for record in existing or []:
-                merged[key_of(record)] = record
+                merged[canonical_key(key_of(record))] = record
             for record in records:
-                merged[key_of(record)] = record
+                merged[canonical_key(key_of(record))] = record
             return self.replace(
                 file_format, version, list(merged.values()), key_of, kind
             )

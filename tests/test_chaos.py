@@ -25,7 +25,6 @@ import pytest
 from repro.cli import main
 from repro.design import reset_allocation_call_count, reset_shared_caches
 from repro.evaluation import (
-    EvaluationSettings,
     ExperimentConfig,
     SweepExecutor,
     generation_task_key,
@@ -34,6 +33,7 @@ from repro.evaluation import (
 from repro.evaluation import parallel
 from repro.evaluation.checkpoint import SweepCheckpoint
 from repro.faults import FaultPlan, FaultSpec, write_plan
+from repro.runtime.config import RuntimeConfig
 
 pytestmark = pytest.mark.chaos
 
@@ -94,7 +94,7 @@ def task_digests():
     """Content digests for targeted fault plans, derived exactly as the
     supervisor derives them."""
     _clear_process_state()
-    settings = EvaluationSettings(**API_SETTINGS)
+    settings = RuntimeConfig(**API_SETTINGS)
     executor = SweepExecutor(settings=settings, configs=CONFIGS, jobs=1)
     points = executor.enumerate_points([BENCHMARK])
     return {

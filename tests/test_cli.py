@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -101,11 +103,6 @@ class TestParser:
             args = build_parser().parse_args([command, "sym6_145", "--no-screening"])
             assert args.no_screening is True
 
-    def test_cache_stats_flag(self):
-        for command in ("evaluate", "sweep"):
-            args = build_parser().parse_args([command, "sym6_145", "--cache-stats"])
-            assert args.cache_stats is True
-
     def test_cache_backend_defaults_to_auto(self):
         for command in ("evaluate", "sweep"):
             args = build_parser().parse_args([command, "sym6_145"])
@@ -174,6 +171,22 @@ class TestCommands:
     def test_sweep_unknown_benchmark_raises_before_forking(self):
         with pytest.raises(KeyError):
             main(["sweep", "nope", "--jobs", "2"])
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("bad", [
+        {"yield_trials": 10_000.5},
+        {"yield_trials": 0},
+        {"frequency_local_trials": True},
+        {"sigma_ghz": float("nan")},
+        {"sigma_ghz": -0.03},
+    ])
+    def test_invalid_runtime_config_value_exits_2(self, tmp_path, capsys, command, bad):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "sym6_145", "--runtime-config", str(path)])
+        assert excinfo.value.code == 2
+        assert next(iter(bad)) in capsys.readouterr().err
 
 
 class TestDesignCacheRoundTrip:
@@ -288,22 +301,3 @@ class TestScreeningAndStatsFlags:
         unscreened = capsys.readouterr().out
         assert allocation_call_count() > 0
         assert unscreened == screened
-
-    def test_evaluate_cache_stats_report(self, capsys):
-        assert main(["evaluate", "sym6_145", *self.FAST, "--cache-stats"]) == 0
-        output = capsys.readouterr().out
-        assert "cache stats:" in output
-        assert "design/frequency" in output
-        assert "routing" in output
-        assert "hit-rate" in output
-
-    def test_sweep_cache_stats_report_serial_and_sharded(self, capsys):
-        serial = ["sweep", "sym6_145", *self.FAST, "--configs", "eff-layout-only",
-                  "--cache-stats"]
-        assert main(serial) == 0
-        output = capsys.readouterr().out
-        assert "cache stats:" in output
-        assert main([*serial, "--jobs", "2"]) == 0
-        sharded = capsys.readouterr().out
-        assert "cache stats:" in sharded
-        assert "not aggregated" in sharded

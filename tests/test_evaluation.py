@@ -4,7 +4,6 @@ import pytest
 
 from repro.benchmarks import get_benchmark
 from repro.evaluation import (
-    EvaluationSettings,
     ExperimentConfig,
     architectures_for_config,
     evaluate_benchmark,
@@ -26,8 +25,9 @@ from repro.evaluation.analysis import (
 from repro.evaluation.experiment import DataPoint
 from repro.evaluation.figures import figure10_series
 from repro.evaluation.pareto import dominates_all
+from repro.runtime.config import RuntimeConfig
 
-FAST_SETTINGS = EvaluationSettings(
+FAST_SETTINGS = RuntimeConfig(
     yield_trials=500, frequency_local_trials=200, random_bus_seeds=(1,)
 )
 

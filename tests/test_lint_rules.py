@@ -35,7 +35,6 @@ from repro.analysis.digest_check import (
     probe_digest_fields,
     routing_params_findings,
     runtime_config_findings,
-    settings_mirror_findings,
 )
 from repro.analysis.findings import (
     BaselineEntry,
@@ -406,10 +405,6 @@ def test_sabre_parameters_digest_probe_is_clean():
     assert routing_params_findings() == []
 
 
-def test_settings_mirror_is_clean():
-    assert settings_mirror_findings() == []
-
-
 def test_design_options_key_coverage_matches_baseline():
     contexts = {f.context for f in design_options_key_findings(ROOT)}
     # The three dispatch/result-transparent fields are the accepted set —
@@ -426,11 +421,6 @@ class _PhantomConfig(RuntimeConfig):
     """RuntimeConfig plus a knob whose digest coverage the subclass controls."""
 
     phantom_knob: int = 0
-
-    def evaluation_settings(self):
-        names = [f.name for f in dataclasses.fields(RuntimeConfig)]
-        plain = RuntimeConfig(**{name: getattr(self, name) for name in names})
-        return RuntimeConfig.evaluation_settings(plain)
 
     def payload(self):
         data = super().payload()

@@ -87,6 +87,34 @@ class TestKeyCodecs:
         assert persistence.tuplify("abc") == "abc"
 
 
+class TestMergeKeyIdentity:
+    """Keys equal under Python ``==`` but distinct as JSON stay distinct.
+
+    ``0 == 0.0 == False`` and ``1 == 1.0 == True``, so a merge indexed by
+    raw key values would collapse them into one record; every backend
+    must keep one record per canonical key text, as SQLite always did.
+    """
+
+    @pytest.mark.parametrize("backend", persistence.BACKENDS)
+    @pytest.mark.parametrize("spellings", [(0, 0.0, False), (1, 1.0, True)])
+    def test_equal_but_distinct_keys_survive_merge(self, tmp_path, backend, spellings):
+        path = f"{backend}:{tmp_path / 'store'}"
+        records = [{"key": [value], "value": repr(value)} for value in spellings]
+        for record in records:
+            persistence.union_merge_save(
+                path, "repro-test-cache", 1, [record], lambda r: tuple(r["key"])
+            )
+        # Re-merging the whole batch at once must not collapse them either.
+        count = persistence.union_merge_save(
+            path, "repro-test-cache", 1, records, lambda r: tuple(r["key"])
+        )
+        loaded = persistence.read_cache_entries(path, "repro-test-cache", 1)
+        assert count == len(spellings)
+        assert sorted(json.dumps(r["key"]) for r in loaded) == sorted(
+            json.dumps([value]) for value in spellings
+        )
+
+
 class _DictCache:
     """Minimal cache speaking the save/merge protocol, for merge tests."""
 

@@ -1,9 +1,13 @@
 """Tests for the runtime session layer: config digests, the process
 registry, request dedup, and worker→parent metrics merging."""
 
+import os
 import pickle
+import subprocess
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +18,6 @@ from repro.design import (
     reset_shared_caches,
 )
 from repro.evaluation import (
-    EvaluationSettings,
     ExperimentConfig,
     evaluate_benchmark,
     run_sweep,
@@ -25,7 +28,7 @@ from repro.runtime.metrics import diff_snapshots, global_metrics
 from repro.runtime.session import peek_session, session_for
 
 FAST_KW = dict(yield_trials=300, frequency_local_trials=80, random_bus_seeds=(1,))
-FAST_SETTINGS = EvaluationSettings(**FAST_KW)
+FAST_SETTINGS = RuntimeConfig(**FAST_KW)
 FAST_CONFIGS = (ExperimentConfig.EFF_FULL, ExperimentConfig.EFF_LAYOUT_ONLY)
 
 
@@ -45,13 +48,15 @@ def _cold_process():
 
 
 class TestRuntimeConfigRoundTrip:
-    def test_settings_round_trip(self):
-        settings = EvaluationSettings(
-            yield_trials=123, frequency_local_trials=45,
-            random_bus_seeds=(2, 3), screening=False,
-        )
-        config = RuntimeConfig.from_settings(settings)
-        assert config.evaluation_settings() == settings
+    def test_evaluation_settings_shim_returns_self(self, tmp_path):
+        # The frozen benchmark harness loads a config file, calls
+        # evaluation_settings() and hands the result to SweepExecutor.
+        path = tmp_path / "config.json"
+        path.write_text(RuntimeConfig(**FAST_KW).to_json())
+        config = RuntimeConfig.from_json(path)
+        assert config.evaluation_settings() is config
+        executor = parallel.SweepExecutor(config.evaluation_settings(), jobs=1)
+        assert executor.settings is config
 
     def test_json_round_trip_preserves_digest(self, tmp_path):
         config = RuntimeConfig(
@@ -81,6 +86,77 @@ class TestRuntimeConfigRoundTrip:
             RuntimeConfig(allocation_strategy="nope")
 
 
+#: Every numeric field, spelled once as an int and once as a float.
+NUMERIC_SPELLINGS = [
+    ("yield_trials", 10_000, 10_000.0),
+    ("frequency_local_trials", 2000, 2000.0),
+    ("yield_seed", 7, 7.0),
+    ("sigma_ghz", 1, 1.0),
+    ("random_bus_seeds", (1, 2), (1.0, 2.0)),
+]
+
+#: Values each field must reject at construction.
+BAD_VALUES = [
+    ("yield_trials", 10_000.5),
+    ("yield_trials", 0),
+    ("yield_trials", -5),
+    ("yield_trials", True),
+    ("yield_trials", float("nan")),
+    ("yield_trials", float("inf")),
+    ("frequency_local_trials", 0),
+    ("frequency_local_trials", 2000.5),
+    ("frequency_local_trials", False),
+    ("yield_seed", 7.5),
+    ("yield_seed", True),
+    ("yield_seed", float("nan")),
+    ("sigma_ghz", float("nan")),
+    ("sigma_ghz", float("inf")),
+    ("sigma_ghz", -0.03),
+    ("sigma_ghz", True),
+    ("sigma_ghz", "0.03"),
+    ("random_bus_seeds", (1, 2.5)),
+    ("random_bus_seeds", (True,)),
+]
+
+
+class TestRuntimeConfigValidation:
+    """Numeric fields are coerced to their declared type and range-checked
+    once, in ``__post_init__``: one physical config has one digest."""
+
+    @pytest.mark.parametrize("name, as_int, as_float", NUMERIC_SPELLINGS)
+    def test_int_and_float_spellings_digest_equal(self, name, as_int, as_float):
+        spelled_int = RuntimeConfig(**{name: as_int})
+        spelled_float = RuntimeConfig(**{name: as_float})
+        assert spelled_int == spelled_float
+        assert spelled_int.digest() == spelled_float.digest()
+
+    def test_default_spellings_keep_their_digest(self):
+        # The digest of a config spelled with the declared types must not
+        # move: it addresses persisted sessions and checkpoints.
+        assert RuntimeConfig().digest() == (
+            "7dd1197baaaccbe4122c87ba4a952fcfe4a2fc27dc07e6126756ecdffe83b637"
+        )
+
+    @pytest.mark.parametrize("name, value", BAD_VALUES)
+    def test_bad_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RuntimeConfig(**{name: value})
+
+
+def test_config_module_does_not_import_the_evaluation_layer():
+    code = (
+        "import sys\n"
+        "from repro.runtime.config import RuntimeConfig\n"
+        "RuntimeConfig()\n"
+        "assert not [m for m in sys.modules if m.startswith('repro.evaluation')]\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 class TestStorePathAliasing:
     """Regression: worker engine maps used to key on raw cache-path
     strings, so ``cache.json`` and ``/abs/dir/cache.json`` naming the
@@ -91,12 +167,11 @@ class TestStorePathAliasing:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)
-        relative = EvaluationSettings(routing_cache_path="cache.json", **FAST_KW)
-        absolute = EvaluationSettings(
+        relative = RuntimeConfig(routing_cache_path="cache.json", **FAST_KW)
+        absolute = RuntimeConfig(
             routing_cache_path=str(tmp_path / "cache.json"), **FAST_KW
         )
-        assert (RuntimeConfig.from_settings(relative).digest()
-                == RuntimeConfig.from_settings(absolute).digest())
+        assert relative.digest() == absolute.digest()
         parallel.reset_worker_state()
         assert parallel._worker_engine(relative) is parallel._worker_engine(absolute)
 
@@ -105,23 +180,21 @@ class TestStorePathAliasing:
         real.mkdir()
         link = tmp_path / "link"
         link.symlink_to(real)
-        via_real = EvaluationSettings(
+        via_real = RuntimeConfig(
             design_cache_path=str(real / "plans.json"), **FAST_KW
         )
-        via_link = EvaluationSettings(
+        via_link = RuntimeConfig(
             design_cache_path=str(link / "plans.json"), **FAST_KW
         )
-        assert (RuntimeConfig.from_settings(via_real).digest()
-                == RuntimeConfig.from_settings(via_link).digest())
+        assert via_real.digest() == via_link.digest()
         parallel.reset_worker_state()
         assert (parallel._worker_design_engine(via_real)
                 is parallel._worker_design_engine(via_link))
 
     def test_different_paths_get_different_sessions(self, tmp_path):
-        a = EvaluationSettings(routing_cache_path=str(tmp_path / "a.json"), **FAST_KW)
-        b = EvaluationSettings(routing_cache_path=str(tmp_path / "b.json"), **FAST_KW)
-        assert (RuntimeConfig.from_settings(a).digest()
-                != RuntimeConfig.from_settings(b).digest())
+        a = RuntimeConfig(routing_cache_path=str(tmp_path / "a.json"), **FAST_KW)
+        b = RuntimeConfig(routing_cache_path=str(tmp_path / "b.json"), **FAST_KW)
+        assert a.digest() != b.digest()
         parallel.reset_worker_state()
         assert parallel._worker_engine(a) is not parallel._worker_engine(b)
 
@@ -158,7 +231,7 @@ class TestSessionByteIdentity:
         circuit = get_benchmark("sym6_145")
         fresh = evaluate_benchmark(circuit, configs=FAST_CONFIGS,
                                    settings=FAST_SETTINGS)
-        session = session_for(settings=FAST_SETTINGS)
+        session = session_for(FAST_SETTINGS)
         cold = session.evaluate("sym6_145", FAST_CONFIGS)
         warm = session.evaluate("sym6_145", FAST_CONFIGS)
         assert point_fingerprint(cold) == point_fingerprint(fresh)
@@ -168,7 +241,7 @@ class TestSessionByteIdentity:
         _cold_process()
         reference = run_sweep(["sym6_145"], jobs=1, settings=FAST_SETTINGS,
                               configs=FAST_CONFIGS)
-        session = session_for(settings=FAST_SETTINGS)  # warm from the run above
+        session = session_for(FAST_SETTINGS)  # warm from the run above
         assert session.has_design_engine
         for jobs in (1, 2, 4):
             result = session.sweep(["sym6_145"], configs=FAST_CONFIGS, jobs=jobs)
@@ -183,12 +256,12 @@ class TestConcurrentDedup:
 
         # Reference: the Algorithm 3 search cost of one cold design.
         _cold_process()
-        session_for(settings=FAST_SETTINGS).design(circuit, 1)
+        session_for(FAST_SETTINGS).design(circuit, 1)
         single = allocation_call_count()
         assert single > 0
 
         _cold_process()
-        session = session_for(settings=FAST_SETTINGS)
+        session = session_for(FAST_SETTINGS)
         deduped_before = global_metrics().counter("session/deduped_requests")
 
         # Hold the owner's engine call open until at least one follower

@@ -20,8 +20,9 @@ from repro.design import (
     reset_allocation_call_count,
     reset_shared_caches,
 )
-from repro.evaluation import EvaluationSettings, ExperimentConfig, SweepExecutor
+from repro.evaluation import ExperimentConfig, SweepExecutor
 from repro.evaluation import parallel
+from repro.runtime.config import RuntimeConfig
 
 BENCHMARK = "sym6_145"
 CONFIGS = (ExperimentConfig.EFF_FULL, ExperimentConfig.EFF_LAYOUT_ONLY)
@@ -58,7 +59,7 @@ def _interrupt_after(checkpoint_path, completed_points):
     """Run the sweep up to ``completed_points`` evaluated points, then stop
     — the on-disk state a mid-sweep kill leaves behind."""
     _clear_process_state()
-    settings = EvaluationSettings(**API_SETTINGS, checkpoint_path=checkpoint_path)
+    settings = RuntimeConfig(**API_SETTINGS, checkpoint_path=checkpoint_path)
     executor = SweepExecutor(settings=settings, configs=CONFIGS, jobs=1)
     points = executor.enumerate_points([BENCHMARK])
     assert len(points) > completed_points, "sweep too small to interrupt"
@@ -137,25 +138,25 @@ def test_resume_requires_checkpoint(capsys):
 
 def test_api_resume_requires_checkpoint_path():
     with pytest.raises(ValueError, match="checkpoint_path"):
-        EvaluationSettings(resume=True)
+        RuntimeConfig(resume=True)
 
 
 def test_settings_change_invalidates_checkpoint_keys(tmp_path):
     """Content-digest keys: a changed knob must recompute, not replay."""
     from repro.evaluation import generation_task_key, point_task_key
 
-    base = EvaluationSettings(**API_SETTINGS)
-    changed = EvaluationSettings(yield_trials=251, frequency_local_trials=60)
+    base = RuntimeConfig(**API_SETTINGS)
+    changed = RuntimeConfig(yield_trials=251, frequency_local_trials=60)
     assert generation_task_key(BENCHMARK, "eff-full", base) == \
         generation_task_key(BENCHMARK, "eff-full", changed), \
         "generation keys must ignore evaluation-only knobs"
 
-    design_changed = EvaluationSettings(yield_trials=250, frequency_local_trials=61)
+    design_changed = RuntimeConfig(yield_trials=250, frequency_local_trials=61)
     assert generation_task_key(BENCHMARK, "eff-full", base) != \
         generation_task_key(BENCHMARK, "eff-full", design_changed)
 
     _clear_process_state()
-    settings = EvaluationSettings(
+    settings = RuntimeConfig(
         **API_SETTINGS, checkpoint_path=str(tmp_path / "ck.sqlite")
     )
     executor = SweepExecutor(settings=settings, configs=CONFIGS, jobs=1)
