@@ -689,11 +689,10 @@ def _cmd_cache_migrate(source: str, dest: str, backend: str) -> int:
     from repro.mapping.engine import RoutingCache
     from repro.persistence import WrongFormatError, migrate_store, read_cache_entries
 
-    kinds = (
-        ("routing cache", RoutingCache.FORMAT, RoutingCache.VERSION,
-         RoutingCache._record_key),
-        ("design cache", DesignCache.FORMAT, DesignCache.VERSION,
-         DesignCache._record_key),
+    kinds = tuple(
+        (store.kind, store.file_format, store.version, store.record_key)
+        for store in (RoutingCache.PERSISTENCE, DesignCache.PERSISTENCE)
+    ) + (
         ("sweep checkpoint", SweepCheckpoint.FORMAT, SweepCheckpoint.VERSION,
          SweepCheckpoint._record_key),
     )

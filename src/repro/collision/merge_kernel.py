@@ -62,6 +62,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro import faults
+from repro.utils.memo import Memo
 
 #: Finite stand-ins for the infinite tails of open-ended intervals
 #: (``|x| > c34`` and the far condition-6 band).  Candidate grids live
@@ -181,19 +182,16 @@ class CandidateBins:
 #: of one allocation shares a grid, and whole sweeps share a handful of
 #: grids, so the uniformity check and float64 copy run once per grid
 #: instead of once per ranking.
-_BINS_MEMO: Dict[bytes, CandidateBins] = {}
-_BINS_MEMO_LIMIT = 64
+_BINS_MEMO = Memo(64)
 
 
 def candidate_bins(candidates: np.ndarray) -> CandidateBins:
     """The (memoized) :class:`CandidateBins` for one candidate grid."""
     key = np.ascontiguousarray(candidates).tobytes()
-    bins = _BINS_MEMO.get(key)
+    bins: Optional[CandidateBins] = _BINS_MEMO.lookup(key)
     if bins is None:
         bins = CandidateBins(candidates)
-        while len(_BINS_MEMO) >= _BINS_MEMO_LIMIT:
-            _BINS_MEMO.pop(next(iter(_BINS_MEMO)))
-        _BINS_MEMO[key] = bins
+        _BINS_MEMO.put(key, bins)
     return bins
 
 

@@ -33,7 +33,7 @@ from repro.design.frequency_allocation import (
     reset_shared_caches,
     resolve_strategy,
 )
-from repro.design.engine import DesignCache, DesignEngine, StageCache
+from repro.design.engine import DesignCache, DesignEngine
 from repro.design.flow import (
     DesignFlow,
     DesignOptions,
@@ -58,7 +58,6 @@ __all__ = [
     "resolve_strategy",
     "DesignCache",
     "DesignEngine",
-    "StageCache",
     "DesignFlow",
     "DesignOptions",
     "design_architecture",

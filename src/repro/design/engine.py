@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -61,9 +60,8 @@ from repro.design.layout import LayoutResult, design_layout
 from repro.hardware.architecture import Architecture
 from repro.hardware.frequency import DEFAULT_SIGMA_GHZ, five_frequency_scheme
 from repro.profiling.profiler import CircuitProfile, profile_circuit
-from repro.runtime.metrics import global_metrics
-
-_metrics = global_metrics()
+from repro.utils.memo import Memo
+from repro.utils.validation import finite, integral
 
 #: Default bound on memoized entries per stage.  Evaluation sweeps touch a
 #: handful of benchmarks and a few dozen distinct architectures per
@@ -122,153 +120,75 @@ class DesignOptions:
     allocation_strategy: str = "bfs-greedy"
     frequency_screening: bool = True
 
-
-class StageCache:
-    """A bounded, deterministic LRU memo for one design stage.
-
-    The same shape as :class:`~repro.mapping.engine.RoutingCache`: keyed
-    lookups count hits and misses, insertion evicts least-recently-used
-    entries beyond ``max_entries``, and cached values are exactly what a
-    fresh computation would produce.
-    """
-
-    def __init__(self, name: str, max_entries: Optional[int] = DEFAULT_STAGE_ENTRIES) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1 or None, got {max_entries}")
-        self.name = name
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: Tuple):
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            _metrics.increment(f"design/{self.name}/misses")
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        _metrics.increment(f"design/{self.name}/hits")
-        return entry
-
-    def put(self, key: Tuple, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        if self.max_entries is not None:
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {"entries": len(self._entries), "hits": self.hits, "misses": self.misses}
+    def __post_init__(self) -> None:
+        # Coerce at the boundary, as RuntimeConfig does: these fields key
+        # the frequency stage memo and its store, so sigma 1 and 1.0 must
+        # be one entry in memory and one record on disk.
+        self.sigma_ghz = finite("sigma_ghz", self.sigma_ghz, 0.0)
+        self.local_trials = integral("local_trials", self.local_trials, 1)
+        if self.random_bus_seed is not None:
+            self.random_bus_seed = integral("random_bus_seed", self.random_bus_seed)
+        self.frequency_seed = integral("frequency_seed", self.frequency_seed)
+        self.frequency_refinement_passes = integral(
+            "frequency_refinement_passes", self.frequency_refinement_passes, 0
+        )
 
 
-class DesignCache(StageCache):
-    """The frequency-allocation stage cache, persistable across processes.
+def _design_record_key(record: dict) -> Tuple:
+    """A serialized record's identity (file-level merge key)."""
+    return persistence.tuplify(record["key"])
 
-    Mirrors :class:`~repro.mapping.engine.RoutingCache`: the memoized
-    Algorithm 3 frequency plans — by far the most expensive stage of the
-    design flow — round-trip through a versioned, counts-only JSON file
-    (a few floats per qubit; never simulators or noise tensors), so a
-    second session, or every worker of a ``sweep --jobs N``, re-derives
+
+def _encode_design(key: Tuple, plan: Dict[int, float]) -> dict:
+    return {
+        "key": persistence.listify(key),
+        "frequencies": {str(qubit): value for qubit, value in plan.items()},
+    }
+
+
+def _decode_design(record: dict) -> Tuple[Tuple, Dict[int, float]]:
+    plan = {int(qubit): float(value) for qubit, value in record["frequencies"].items()}
+    return _design_record_key(record), plan
+
+
+class DesignCache(Memo):
+    """The frequency-allocation stage memo, persistable across processes.
+
+    The memoized Algorithm 3 frequency plans, by far the most expensive
+    stage of the design flow, round-trip through a versioned, counts-only
+    store (a few floats per qubit; never simulators or noise tensors), so
+    a second session, or every worker of a ``sweep --jobs N``, re-derives
     a warm evaluation grid's architectures without a single Monte Carlo
     call.
 
-    Keys are *full content*, not digests — the architecture's qubit set,
+    Keys are *full content*, not digests: the architecture's qubit set,
     coupling edges and centre qubit plus the complete allocator
-    configuration — so a loaded entry can never be served to a
-    near-miss input; there is no collision guard to re-confirm.  Entries
-    are exactly what a fresh :class:`FrequencyAllocator` run produces,
-    so hits are bit-identical to recomputation and parallel sweeps stay
+    configuration, so a loaded entry can never be served to a near-miss
+    input; there is no collision guard to re-confirm.  Entries are
+    exactly what a fresh :class:`FrequencyAllocator` run produces, so
+    hits are bit-identical to recomputation and parallel sweeps stay
     byte-identical for any worker count, warm or cold.
     """
 
-    #: Persisted-file envelope (see :mod:`repro.persistence`).
-    FORMAT = "repro-design-cache"
-    VERSION = 1
+    PERSISTENCE = persistence.MemoPersistence(
+        "repro-design-cache", 1, "design cache",
+        _encode_design, _decode_design, _design_record_key,
+    )
 
     def __init__(self, max_entries: Optional[int] = DEFAULT_STAGE_ENTRIES) -> None:
-        super().__init__("frequency", max_entries)
-
-    # -- persistence ----------------------------------------------------------
+        super().__init__(max_entries, metric="design/frequency")
 
     def save(self, path: Union[str, Path]) -> int:
-        """Persist the memoized frequency plans to a counts-only JSON file.
-
-        The file is an image of the in-memory stage cache (at most
-        ``max_entries`` plans); use :meth:`merge_save` to extend an
-        existing file instead of replacing it.  The write is atomic
-        (temp file + ``os.replace``), so concurrent readers never
-        observe a torn file.  Returns the number of entries written.
-        """
-        return persistence.write_cache_file(
-            path, self.FORMAT, self.VERSION, self._serialize_entries(),
-            key_of=self._record_key, kind="design cache",
-        )
-
-    def _serialize_entries(self) -> list:
-        """The in-memory frequency plans as persistable records."""
-        return [
-            {
-                "key": persistence.listify(key),
-                "frequencies": {str(qubit): value for qubit, value in plan.items()},
-            }
-            for key, plan in self._entries.items()
-        ]
-
-    @staticmethod
-    def _record_key(record: dict) -> Tuple:
-        """A serialized record's identity (file-level merge key)."""
-        return persistence.tuplify(record["key"])
+        """Replace the store with this cache's image (see :class:`~repro.persistence.MemoPersistence`)."""
+        return self.PERSISTENCE.save(self, path)
 
     def load(self, path: Union[str, Path], missing_ok: bool = False) -> int:
-        """Merge a persisted cache file into this cache.
-
-        Existing in-memory entries win over file entries under the same
-        key.  Files with the wrong format marker or an unknown schema
-        version are rejected with a clear error.  Returns the number of
-        merged entries still resident afterwards — on a bounded cache, a
-        file larger than ``max_entries`` merges only its tail, and the
-        count reflects that rather than masking the eviction.
-        ``missing_ok`` turns a nonexistent file into a no-op returning 0.
-        """
-        records = persistence.read_cache_entries(
-            path, self.FORMAT, self.VERSION, missing_ok=missing_ok,
-            kind="design cache",
-        )
-        if records is None:
-            return 0
-
-        def decode(record: dict) -> Tuple:
-            plan = {
-                int(qubit): float(value)
-                for qubit, value in record["frequencies"].items()
-            }
-            return self._record_key(record), plan
-
-        return persistence.merge_loaded(self, records, decode)
+        """Merge a persisted store into this cache; in-memory entries win."""
+        return self.PERSISTENCE.load(self, path, missing_ok)
 
     def merge_save(self, path: Union[str, Path]) -> int:
-        """Extend the persisted file with this cache's entries, concurrency-safe.
-
-        A file-level union under a per-path lock: the file keeps every
-        plan it already holds (this cache's entries win under equal
-        keys) plus everything memoized here — it never shrinks to this
-        cache's LRU bound, so a long sweep's cache file stays complete
-        even when its grid outgrows ``max_entries``, and concurrent
-        workers sharing one cache path cannot drop each other's results.
-        Returns the number of entries the rewritten file holds.
-        """
-        return persistence.union_merge_save(
-            path, self.FORMAT, self.VERSION, self._serialize_entries(),
-            self._record_key, kind="design cache",
-        )
+        """Extend the persisted store with this cache's plans, concurrency-safe."""
+        return self.PERSISTENCE.merge_save(self, path)
 
 
 def circuit_design_key(circuit: QuantumCircuit) -> Tuple:
@@ -343,9 +263,9 @@ class DesignEngine:
         max_entries: Optional[int] = DEFAULT_STAGE_ENTRIES,
         frequency_cache: Optional[DesignCache] = None,
     ) -> None:
-        self._profiles = StageCache("profile", max_entries)
-        self._layouts = StageCache("layout", max_entries)
-        self._selections = StageCache("bus-selection", max_entries)
+        self._profiles = Memo(max_entries, metric="design/profile")
+        self._layouts = Memo(max_entries, metric="design/layout")
+        self._selections = Memo(max_entries, metric="design/bus-selection")
         self._frequencies = (
             frequency_cache if frequency_cache is not None
             else DesignCache(max_entries)
@@ -600,10 +520,10 @@ class DesignEngine:
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-stage cache statistics (entries / hits / misses)."""
         return {
-            cache.name: cache.stats()
-            for cache in (
-                self._profiles, self._layouts, self._selections, self._frequencies
-            )
+            "profile": self._profiles.stats(),
+            "layout": self._layouts.stats(),
+            "bus-selection": self._selections.stats(),
+            "frequency": self._frequencies.stats(),
         }
 
     def clear(self) -> None:

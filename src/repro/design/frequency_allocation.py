@@ -72,6 +72,7 @@ from repro.hardware.frequency import (
     middle_frequency,
 )
 from repro.runtime.metrics import global_metrics
+from repro.utils.memo import Memo
 from repro.utils.rng import seed_for
 
 _metrics = global_metrics()
@@ -108,10 +109,9 @@ def reset_allocation_call_count() -> int:
 #: sweep re-derives byte-identical draws for every architecture sharing
 #: an allocator configuration, so serving them from one draw per key
 #: removes a measurable slice of Algorithm 3's cold path without
-#: touching any result.  Entries are read-only; a bounded FIFO keeps
+#: touching any result.  Entries are read-only; the LRU bound keeps
 #: pathological sweeps from growing the cache without limit.
-_NOISE_TENSORS: Dict[Tuple, np.ndarray] = {}
-_NOISE_TENSOR_LIMIT = 256
+_NOISE_TENSORS = Memo(256)
 
 #: Process-wide memo of local-region ranking winners.  A ranking is a
 #: pure function of its full content key — the scanned qubit (it seeds
@@ -122,17 +122,9 @@ _NOISE_TENSOR_LIMIT = 256
 #: re-rank mostly identical local regions (roughly 40-60% of a cold
 #: evaluation grid's rankings are exact repeats), which makes this the
 #: largest single win on the cold Algorithm 3 path.  Values are a single
-#: float each; a bounded FIFO keeps unbounded exploratory sessions in
+#: float each; the LRU bound keeps unbounded exploratory sessions in
 #: check.
-_RANKING_MEMO: Dict[Tuple, float] = {}
-_RANKING_MEMO_LIMIT = 16384
-
-
-def _bounded_put(cache: Dict, limit: int, key: Tuple, value) -> None:
-    """Insert into a process-wide cache, evicting oldest entries first."""
-    while len(cache) >= limit:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
+_RANKING_MEMO = Memo(16384)
 
 
 def reset_shared_caches() -> None:
@@ -150,12 +142,12 @@ def reset_shared_caches() -> None:
 
 def _shared_noise(key: Tuple, sigma_ghz: float, trials: int, qubit: int,
                   region_size: int) -> np.ndarray:
-    noise = _NOISE_TENSORS.get(key)
+    noise = _NOISE_TENSORS.lookup(key)
     if noise is None:
         rng = np.random.default_rng(seed_for("freq-alloc", key[0], qubit))
         noise = rng.normal(0.0, sigma_ghz, size=(trials, region_size))
         noise.setflags(write=False)
-        _bounded_put(_NOISE_TENSORS, _NOISE_TENSOR_LIMIT, key, noise)
+        _NOISE_TENSORS.put(key, noise)
     return noise
 
 
@@ -485,7 +477,7 @@ class _LocalRegionScorer:
                 tuple(frequencies[member] for member in sorted(members)),
                 None if candidate_indices is None else tuple(candidate_indices),
             )
-            winner = _RANKING_MEMO.get(memo_key)
+            winner = _RANKING_MEMO.lookup(memo_key)
             if winner is not None:
                 return winner, None
 
@@ -558,7 +550,7 @@ class _LocalRegionScorer:
             request.candidates[tie_set[np.argmin(request.mid_distance[tie_set])]]
         )
         if request.memo_key is not None:
-            _bounded_put(_RANKING_MEMO, _RANKING_MEMO_LIMIT, request.memo_key, winner)
+            _RANKING_MEMO.put(request.memo_key, winner)
         return winner
 
 
@@ -606,17 +598,17 @@ class AllocationStrategy:
     ) -> Tuple[Dict[int, float], List[int]]:
         """The paper's centre-out BFS greedy walk; returns (assignment, order).
 
-        With ``batched_rankings`` on (and no per-qubit candidate
-        filtering, which may read intermediate assignments), the walk
-        processes the BFS order in waves (:meth:`_next_wave`): each wave
-        is ranked through one fused batched kernel call and then assigned
-        wholesale.  Winners are bit-identical to the sequential walk —
-        see :meth:`_next_wave` for why.
+        Without per-qubit candidate filtering (which may read
+        intermediate assignments), the walk processes the BFS order in
+        waves (:meth:`_next_wave`): each wave is ranked through one fused
+        batched kernel call and then assigned wholesale.  Winners are
+        bit-identical to the sequential walk — see :meth:`_next_wave`
+        for why.
         """
         frequencies: Dict[int, float] = {context.center: middle_frequency()}
         context.mark_assigned(context.center)
         order = context.traversal_order()
-        if candidate_indices_for is None and context.allocator.batched_rankings:
+        if candidate_indices_for is None:
             remaining = [qubit for qubit in order if qubit not in frequencies]
             while remaining:
                 wave, remaining = self._next_wave(context, remaining)
@@ -628,10 +620,9 @@ class AllocationStrategy:
         for qubit in order:
             if qubit in frequencies:
                 continue
-            subset = candidate_indices_for(context, qubit, frequencies) \
-                if candidate_indices_for is not None else None
             frequencies[qubit] = context.best_frequency(
-                qubit, frequencies, candidate_indices=subset
+                qubit, frequencies,
+                candidate_indices=candidate_indices_for(context, qubit, frequencies),
             )
             context.mark_assigned(qubit)
         return frequencies, order
@@ -696,25 +687,18 @@ class CoordinateDescentStrategy(AllocationStrategy):
     def assign(self, context: _AllocationContext) -> Dict[int, float]:
         frequencies, order = self._bfs_assign(context)
         passes = max(1, context.allocator.refinement_passes)
-        batched = context.allocator.batched_rankings
         for _sweep in range(passes):
-            if batched:
-                # Same wave discipline as the BFS walk: non-conflicting
-                # qubits never read each other's refined frequencies, so
-                # ranking a wave against the pre-wave assignment and
-                # applying its updates together is bit-identical to the
-                # in-place sequential sweep.
-                remaining = list(order)
-                while remaining:
-                    wave, remaining = self._next_wave(context, remaining)
-                    winners = context.scorer.best_frequencies_for(
-                        wave, frequencies
-                    )
-                    for qubit in wave:
-                        frequencies[qubit] = winners[qubit]
-            else:
-                for qubit in order:
-                    frequencies[qubit] = context.best_frequency(qubit, frequencies)
+            # Same wave discipline as the BFS walk: non-conflicting
+            # qubits never read each other's refined frequencies, so
+            # ranking a wave against the pre-wave assignment and
+            # applying its updates together is bit-identical to the
+            # in-place sequential sweep.
+            remaining = list(order)
+            while remaining:
+                wave, remaining = self._next_wave(context, remaining)
+                winners = context.scorer.best_frequencies_for(wave, frequencies)
+                for qubit in wave:
+                    frequencies[qubit] = winners[qubit]
         return frequencies
 
 
@@ -847,13 +831,6 @@ class FrequencyAllocator:
             their keys, so results are bit-identical with the caches on
             or off; disabling them exists for benchmarking the
             uncached cold path.
-        batched_rankings: Whether the BFS walk and refinement sweeps
-            rank waves of mutually independent qubits through one fused
-            batched kernel call instead of one call per qubit
-            (:meth:`AllocationStrategy._next_wave`).  Wave members never
-            share a collision connection, so winners are bit-identical
-            with batching on or off; the flag exists for benchmarking
-            and identity tests.
     """
 
     sigma_ghz: float = DEFAULT_SIGMA_GHZ
@@ -866,7 +843,6 @@ class FrequencyAllocator:
     strategy: Union[str, AllocationStrategy] = BfsGreedyStrategy.name
     screening: bool = True
     shared_caches: bool = True
-    batched_rankings: bool = True
 
     def allocate(self, architecture: Architecture) -> Dict[int, float]:
         """Assign a frequency to every qubit of ``architecture``.

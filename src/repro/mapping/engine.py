@@ -13,6 +13,9 @@ of reuse make that cheap:
   :class:`~repro.mapping.router.MappingResult` objects under a
   ``(circuit, architecture, parameters)`` key.
 
+All three tables (results, routers, DAGs) are bounded
+:class:`~repro.utils.memo.Memo` instances.
+
 Both layers are *transparent*: routing is a pure deterministic function of
 the key, so cache hits return exactly what a fresh computation would, and
 parallel sweeps stay byte-identical for any worker count no matter how
@@ -23,10 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import time
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro import persistence
 
@@ -37,6 +39,7 @@ from repro.mapping.initial import initial_mapping
 from repro.mapping.sabre import SabreParameters, SabreRouter
 from repro.profiling.profiler import CircuitProfile, profile_circuit
 from repro.runtime.metrics import global_metrics
+from repro.utils.memo import Memo
 
 _metrics = global_metrics()
 
@@ -119,184 +122,99 @@ def architecture_cache_key(architecture: Architecture) -> Tuple:
     )
 
 
-class RoutingCache:
-    """A bounded, deterministic LRU memo of completed routing results.
+def _encode_routing(key: Tuple, entry: _CacheEntry) -> dict:
+    """A memoized routing as a counts-only record (no gates, no circuit)."""
+    circuit_key, arch_key, parameters, profile_key = key
+    result = entry.result
+    return {
+        "circuit_key": list(circuit_key),
+        "architecture_key": persistence.listify(arch_key),
+        "parameters": asdict(parameters),
+        "profile_key": profile_key,
+        "result": {
+            "circuit_name": result.circuit_name,
+            "architecture_name": result.architecture_name,
+            "original_gates": result.original_gates,
+            "original_two_qubit_gates": result.original_two_qubit_gates,
+            "num_swaps": result.num_swaps,
+            "initial_mapping": {str(k): v for k, v in result.initial_mapping.items()},
+            "final_mapping": {str(k): v for k, v in result.final_mapping.items()},
+        },
+    }
 
-    Keys are ``(circuit key, architecture key, SabreParameters)`` tuples;
-    values are the engine's cache entries (exact gate tuple + a
-    :class:`~repro.mapping.router.MappingResult` whose ``routed_circuit``
-    is present only if the producing call requested it).  Eviction is
-    least-recently-used with a fixed bound, so long sweeps cannot grow
-    memory without limit.
+
+def _decode_routing(record: dict) -> Tuple[Tuple, _CacheEntry]:
+    """A persisted record back as a digest-trusted (``gates=None``) entry."""
+    from repro.mapping.router import MappingResult
+
+    key = (
+        tuple(record["circuit_key"]),
+        persistence.tuplify(record["architecture_key"]),
+        SabreParameters(**record["parameters"]),
+        record["profile_key"],
+    )
+    data = record["result"]
+    result = MappingResult(
+        circuit_name=data["circuit_name"],
+        architecture_name=data["architecture_name"],
+        original_gates=data["original_gates"],
+        original_two_qubit_gates=data["original_two_qubit_gates"],
+        num_swaps=data["num_swaps"],
+        initial_mapping={int(k): v for k, v in data["initial_mapping"].items()},
+        final_mapping={int(k): v for k, v in data["final_mapping"].items()},
+        routed_circuit=None,
+    )
+    return key, _CacheEntry(gates=None, result=result)
+
+
+def _routing_record_key(record: dict) -> Tuple:
+    """A serialized record's identity (file-level merge key)."""
+    return (
+        persistence.tuplify(record["circuit_key"]),
+        persistence.tuplify(record["architecture_key"]),
+        tuple(sorted(record["parameters"].items())),
+        record["profile_key"],
+    )
+
+
+class RoutingCache(Memo):
+    """The memo of completed routing results, persistable across processes.
+
+    Keys are ``(circuit key, architecture key, SabreParameters, profile
+    key)`` tuples; values are the engine's cache entries (exact gate
+    tuple + a :class:`~repro.mapping.router.MappingResult` whose
+    ``routed_circuit`` is present only if the producing call requested
+    it).  A bounded LRU, so long sweeps cannot grow memory without limit.
+
+    Persisted stores are counts-only: swap counts, gate counts and the
+    initial/final mappings, never routed circuits or gate tuples, so
+    sweep-scale caches persist in milliseconds.  Loaded entries carry no
+    gate tuple, so their hits are trusted on the 64-bit circuit content
+    digest in the key alone; a digest collision between two same-length,
+    same-name, same-width circuits is the only way one can be wrong.
+    Route calls with ``keep_routed_circuit=True`` recompute and upgrade
+    loaded entries.
     """
 
-    #: Persisted-file envelope (see :mod:`repro.persistence`).
-    FORMAT = "repro-routing-cache"
-    VERSION = 1
+    PERSISTENCE = persistence.MemoPersistence(
+        "repro-routing-cache", 1, "routing cache",
+        _encode_routing, _decode_routing, _routing_record_key,
+    )
 
     def __init__(self, max_entries: Optional[int] = DEFAULT_CACHE_ENTRIES) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1 or None, got {max_entries}")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: Tuple, sufficient=None):
-        """The memoized result for ``key``, or None (counts hit/miss stats).
-
-        An entry rejected by the ``sufficient`` predicate counts as a
-        *miss* — the caller will recompute in full, so reporting a hit
-        would overstate cache effectiveness.
-        """
-        entry = self._entries.get(key)
-        if entry is None or (sufficient is not None and not sufficient(entry)):
-            self.misses += 1
-            _metrics.increment("routing/cache/misses")
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        _metrics.increment("routing/cache/hits")
-        return entry
-
-    def put(self, key: Tuple, result) -> None:
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        if self.max_entries is not None:
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {"entries": len(self._entries), "hits": self.hits, "misses": self.misses}
-
-    # -- persistence ----------------------------------------------------------
+        super().__init__(max_entries, metric="routing/cache")
 
     def save(self, path: Union[str, Path]) -> int:
-        """Persist the memoized routings to a counts-only JSON file.
-
-        Only the mapping *results* are written — swap counts, gate
-        counts, and the initial/final mappings — never routed circuits or
-        gate tuples, so the file stays small and sweep-scale caches
-        persist in milliseconds.  Returns the number of entries written.
-
-        The file is an image of the in-memory cache, so it holds at most
-        ``max_entries`` results; writers wanting to extend an existing
-        file rather than replace it should use :meth:`merge_save` (cached
-        entries win over file entries, anything beyond the bound falls
-        out least-recently-used, and the load-merge-rewrite cycle is
-        serialized against concurrent writers).  The write itself is
-        atomic (temp file + ``os.replace``), so readers never observe a
-        torn or truncated file.
-
-        Because the gate tuples are not persisted, results served from a
-        loaded cache are trusted on the 64-bit circuit content digest in
-        the key alone (the in-memory collision guard cannot re-confirm
-        them).  A digest collision between two same-length, same-name,
-        same-width circuits is the only way a loaded entry can be wrong.
-        """
-        return persistence.write_cache_file(
-            path, self.FORMAT, self.VERSION, self._serialize_entries(),
-            key_of=self._record_key, kind="routing cache",
-        )
-
-    def _serialize_entries(self) -> list:
-        """The in-memory entries as persistable counts-only records."""
-        entries = []
-        for key, entry in self._entries.items():
-            circuit_key, arch_key, parameters, profile_key = key
-            result = entry.result
-            entries.append({
-                "circuit_key": list(circuit_key),
-                "architecture_key": _listify(arch_key),
-                "parameters": _parameters_to_dict(parameters),
-                "profile_key": profile_key,
-                "result": {
-                    "circuit_name": result.circuit_name,
-                    "architecture_name": result.architecture_name,
-                    "original_gates": result.original_gates,
-                    "original_two_qubit_gates": result.original_two_qubit_gates,
-                    "num_swaps": result.num_swaps,
-                    "initial_mapping": {str(k): v for k, v in result.initial_mapping.items()},
-                    "final_mapping": {str(k): v for k, v in result.final_mapping.items()},
-                },
-            })
-        return entries
-
-    @staticmethod
-    def _record_key(record: dict) -> Tuple:
-        """A serialized record's identity (file-level merge key)."""
-        return (
-            persistence.tuplify(record["circuit_key"]),
-            persistence.tuplify(record["architecture_key"]),
-            tuple(sorted(record["parameters"].items())),
-            record["profile_key"],
-        )
+        """Replace the store with this cache's image (see :class:`~repro.persistence.MemoPersistence`)."""
+        return self.PERSISTENCE.save(self, path)
 
     def load(self, path: Union[str, Path], missing_ok: bool = False) -> int:
-        """Merge a persisted cache file into this cache.
-
-        Loaded entries are counts-only (no routed circuit): route calls
-        with ``keep_routed_circuit=True`` still recompute and upgrade
-        them.  Existing in-memory entries win over file entries under the
-        same key.  Files with the wrong format marker or an unknown
-        schema version are rejected with a clear error.  Returns the
-        number of merged entries still resident afterwards — on a
-        bounded cache, a file larger than ``max_entries`` merges only
-        its tail, and the count reflects that rather than masking the
-        eviction.  ``missing_ok`` turns a nonexistent file into a no-op
-        returning 0.
-        """
-        from repro.mapping.router import MappingResult
-
-        records = persistence.read_cache_entries(
-            path, self.FORMAT, self.VERSION, missing_ok=missing_ok,
-            kind="routing cache",
-        )
-        if records is None:
-            return 0
-
-        def decode(record: dict) -> Tuple:
-            key = (
-                tuple(record["circuit_key"]),
-                _tuplify(record["architecture_key"]),
-                _parameters_from_dict(record["parameters"]),
-                record["profile_key"],
-            )
-            data = record["result"]
-            result = MappingResult(
-                circuit_name=data["circuit_name"],
-                architecture_name=data["architecture_name"],
-                original_gates=data["original_gates"],
-                original_two_qubit_gates=data["original_two_qubit_gates"],
-                num_swaps=data["num_swaps"],
-                initial_mapping={int(k): v for k, v in data["initial_mapping"].items()},
-                final_mapping={int(k): v for k, v in data["final_mapping"].items()},
-                routed_circuit=None,
-            )
-            return key, _CacheEntry(gates=None, result=result)
-
-        return persistence.merge_loaded(self, records, decode)
+        """Merge a persisted store into this cache; in-memory entries win."""
+        return self.PERSISTENCE.load(self, path, missing_ok)
 
     def merge_save(self, path: Union[str, Path]) -> int:
-        """Extend the persisted file with this cache's entries, concurrency-safe.
-
-        A file-level union under a per-path lock: the file keeps every
-        entry it already holds (this cache's entries win under equal
-        keys) plus everything memoized here — it never shrinks to this
-        cache's LRU bound, and concurrent workers sharing one cache path
-        cannot drop each other's results.  Returns the number of entries
-        the rewritten file holds.
-        """
-        return persistence.union_merge_save(
-            path, self.FORMAT, self.VERSION, self._serialize_entries(),
-            self._record_key, kind="routing cache",
-        )
+        """Extend the persisted store with this cache's entries, concurrency-safe."""
+        return self.PERSISTENCE.merge_save(self, path)
 
 
 class RoutingEngine:
@@ -324,22 +242,19 @@ class RoutingEngine:
         # Routers keyed by architecture identity, LRU-bounded like the
         # sibling tables so a worker sweeping many candidate architectures
         # cannot grow distance matrices and edge tables without limit.
-        self._routers: "OrderedDict[Tuple, SabreRouter]" = OrderedDict()
+        self._routers = Memo(128)
         # Dependency DAGs keyed by circuit identity: one circuit routes onto
         # many candidate architectures per evaluation, and the DAG (plus its
         # use inside verify_routing) is the same for all of them.
-        self._dags: "OrderedDict[Tuple, object]" = OrderedDict()
+        self._dags = Memo(32)
 
     def router_for(self, architecture: Architecture) -> SabreRouter:
         """The shared router (and distance matrix) for an architecture (bounded LRU)."""
         key = architecture_cache_key(architecture)
-        router = self._routers.get(key)
+        router = self._routers.lookup(key)
         if router is None:
             router = SabreRouter(architecture, self.parameters)
-            self._routers[key] = router
-        self._routers.move_to_end(key)
-        while len(self._routers) > 128:
-            self._routers.popitem(last=False)
+            self._routers.put(key, router)
         return router
 
     def distances_for(self, architecture: Architecture) -> DistanceMatrix:
@@ -358,13 +273,13 @@ class RoutingEngine:
         from repro.circuit.dag import CircuitDAG
 
         gates = circuit.gates
-        dag = self._dags.get(circuit_key)
-        if dag is None or (dag.circuit.gates is not gates and dag.circuit.gates != gates):
+        dag = self._dags.lookup(
+            circuit_key,
+            lambda dag: dag.circuit.gates is gates or dag.circuit.gates == gates,
+        )
+        if dag is None:
             dag = CircuitDAG(circuit)
-            self._dags[circuit_key] = dag
-        self._dags.move_to_end(circuit_key)
-        while len(self._dags) > 32:
-            self._dags.popitem(last=False)
+            self._dags.put(circuit_key, dag)
         return dag
 
     def route(
@@ -454,21 +369,6 @@ class RoutingEngine:
         )
         self.cache.put(key, _CacheEntry(gates=gates, result=result))
         return _result_copy(result, keep_routed_circuit)
-
-
-# JSON key codecs, shared with every persisted cache.
-_listify = persistence.listify
-_tuplify = persistence.tuplify
-
-
-def _parameters_to_dict(parameters: SabreParameters) -> Dict:
-    from dataclasses import asdict
-
-    return asdict(parameters)
-
-
-def _parameters_from_dict(data: Dict) -> SabreParameters:
-    return SabreParameters(**data)
 
 
 def _result_copy(result, keep_routed_circuit: bool):

@@ -50,6 +50,7 @@ from repro.circuit.gates import Gate
 from repro.hardware.architecture import Architecture
 from repro.mapping.distance import DistanceMatrix
 from repro.utils.rng import deterministic_rng
+from repro.utils.validation import finite, integral
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,26 @@ class SabreParameters:
     stall_threshold: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.passes < 1 or self.passes % 2 == 0:
+        # Coerce at the boundary: the parameters are part of every routing
+        # cache key and store record, so 20 and 20.0 must spell one key.
+        for name, minimum in (
+            ("extended_set_size", 0), ("decay_reset_interval", 0),
+            ("max_swaps_per_gate", 0), ("restarts", 1), ("seed", None),
+        ):
+            object.__setattr__(self, name, integral(name, getattr(self, name), minimum))
+        for name in ("extended_set_weight", "decay_factor"):
+            object.__setattr__(self, name, finite(name, getattr(self, name), 0.0))
+        if self.stall_threshold is not None:
+            object.__setattr__(self, "stall_threshold", integral(
+                "stall_threshold", self.stall_threshold, 0
+            ))
+        passes = integral("passes", self.passes)
+        if passes < 1 or passes % 2 == 0:
             raise ValueError(
                 f"passes must be a positive odd number (forward passes produce results, "
-                f"reverse passes only refine the mapping); got {self.passes}"
+                f"reverse passes only refine the mapping); got {passes}"
             )
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.stall_threshold is not None and self.stall_threshold < 0:
-            raise ValueError(f"stall_threshold must be >= 0, got {self.stall_threshold}")
+        object.__setattr__(self, "passes", passes)
 
 
 class SabreRouter:

@@ -19,8 +19,10 @@ three backends:
 * ``sqlite`` (:class:`~repro.persistence.sqlite.SqliteStore`) — one
   database file with transactional upsert-merge semantics.
 
-Cache classes do not pick backends; they keep calling the module-level
-legacy API (:func:`read_cache_entries`, :func:`write_cache_file`,
+Cache classes do not pick backends.  The persisted memos describe their
+record schema once in a :class:`MemoPersistence` adapter, which owns
+save, load and merge-save; it and the sweep checkpoint call the
+module-level API (:func:`read_cache_entries`, :func:`write_cache_file`,
 :func:`union_merge_save`), which dispatches on the *path*: an optional
 ``json:`` / ``sharded:`` / ``sqlite:`` scheme prefix names the backend
 explicitly, and unprefixed paths are sniffed from on-disk state (an
@@ -36,7 +38,8 @@ and the concurrency discipline around it.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Hashable, List, Optional, Tuple
 
 from repro.persistence.store import (
     BACKENDS,
@@ -51,7 +54,6 @@ from repro.persistence.store import (
     canonical_key,
     key_digest,
     listify,
-    merge_loaded,
     migrate_store,
     open_store,
     parse_store_path,
@@ -59,10 +61,14 @@ from repro.persistence.store import (
     tuplify,
 )
 
+if TYPE_CHECKING:
+    from repro.utils.memo import Memo
+
 __all__ = [
     "BACKENDS",
     "CacheStore",
     "CacheStoreFault",
+    "MemoPersistence",
     "PathLike",
     "SQLITE_MAGIC",
     "SingleFileStore",
@@ -72,7 +78,6 @@ __all__ = [
     "canonical_key",
     "key_digest",
     "listify",
-    "merge_loaded",
     "migrate_store",
     "open_store",
     "parse_store_path",
@@ -166,3 +171,68 @@ def union_merge_save(
     return open_store(path).union_merge(
         file_format, version, records, key_of, kind=kind
     )
+
+
+@dataclass(frozen=True)
+class MemoPersistence:
+    """How one kind of :class:`~repro.utils.memo.Memo` persists to a store.
+
+    The record schema is given once: the envelope's ``file_format``,
+    ``version`` and human-readable ``kind``, ``encode`` from a resident
+    ``(key, value)`` to a JSON record, ``decode`` back, and
+    ``record_key``, a record's file-level merge identity.  Save, load
+    and merge-save are written here once for every persisted memo.
+    """
+
+    file_format: str
+    version: int
+    kind: str
+    encode: Callable[[Hashable, Any], dict]
+    decode: Callable[[dict], Tuple[Hashable, Any]]
+    record_key: Callable[[dict], Tuple]
+
+    def _records(self, memo: "Memo") -> List[dict]:
+        """The memo's resident entries as persistable records."""
+        return [self.encode(key, value) for key, value in memo.items()]
+
+    def save(self, memo: "Memo", path: PathLike) -> int:
+        """Replace the store with an image of ``memo``; returns entries written.
+
+        The image holds at most the memo's bound; :meth:`merge_save`
+        extends a store instead.  The write is atomic, so readers never
+        observe a torn file.
+        """
+        return write_cache_file(
+            path, self.file_format, self.version, self._records(memo),
+            key_of=self.record_key, kind=self.kind,
+        )
+
+    def load(self, memo: "Memo", path: PathLike, missing_ok: bool = False) -> int:
+        """Merge the store into ``memo``; returns merged entries still resident.
+
+        Resident entries win under equal keys (:meth:`Memo.merge`).  A
+        wrong format marker or an unknown version is rejected with a
+        clear error; ``missing_ok`` turns a missing store into a no-op
+        returning 0.
+        """
+        records = read_cache_entries(
+            path, self.file_format, self.version, missing_ok=missing_ok,
+            kind=self.kind,
+        )
+        if records is None:
+            return 0
+        return memo.merge(self.decode(record) for record in records)
+
+    def merge_save(self, memo: "Memo", path: PathLike) -> int:
+        """Extend the store with ``memo``'s entries, concurrency-safe.
+
+        A store-level union under the backend's lock: the store keeps
+        every record it holds (``memo``'s entries win under equal
+        ``record_key``) plus everything resident here.  It never shrinks
+        to the memo's bound, and concurrent writers sharing one path
+        cannot drop each other's records.  Returns the store's size.
+        """
+        return union_merge_save(
+            path, self.file_format, self.version, self._records(memo),
+            self.record_key, kind=self.kind,
+        )

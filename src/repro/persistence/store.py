@@ -206,33 +206,6 @@ def cache_file_lock(path: PathLike) -> Iterator[None]:
             os.close(fd)
 
 
-def merge_loaded(cache, records: List[dict], decode) -> int:
-    """Merge decoded file records into a bounded LRU cache.
-
-    The shared tail of every persisted cache's ``load``: existing
-    in-memory entries win under equal keys, and the return value counts
-    the merged entries *still resident* afterwards — on a bounded cache,
-    a file larger than the bound merges only its tail, and the count
-    reflects that rather than masking the eviction.
-
-    Args:
-        cache: A cache exposing the in-package LRU protocol (the
-            ``_entries`` mapping and ``put``) — i.e.
-            :class:`~repro.mapping.engine.RoutingCache` or a
-            :class:`~repro.design.engine.StageCache` subclass.
-        records: The validated entry list of a cache file.
-        decode: Maps one serialized record to its ``(key, value)`` pair.
-    """
-    merged_keys = []
-    for record in records:
-        key, value = decode(record)
-        if key in cache._entries:
-            continue
-        cache.put(key, value)
-        merged_keys.append(key)
-    return sum(1 for key in merged_keys if key in cache._entries)
-
-
 def validate_envelope(
     payload: dict, path: Path, file_format: str, version: int, kind: str
 ) -> List[dict]:

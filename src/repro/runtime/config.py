@@ -22,8 +22,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
@@ -31,6 +29,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 from repro.hardware.frequency import DEFAULT_SIGMA_GHZ
 from repro.mapping.sabre import SabreParameters
 from repro.persistence import parse_store_path
+from repro.utils.validation import finite, integral
 
 #: Router parameters used by the evaluation harness by default.
 #:
@@ -60,24 +59,6 @@ def canonical_store_path(path: Optional[str]) -> Optional[str]:
 
 
 _PATH_FIELDS = ("routing_cache_path", "design_cache_path", "checkpoint_path")
-
-
-def _integral(name: str, value: Any) -> int:
-    """``value`` as an ``int``: integers and integral floats, never bools."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _finite(name: str, value: Any) -> float:
-    """``value`` as a finite ``float``; bools, NaN and infinities fail."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        result = float(value)
-        if math.isfinite(result):
-            return result
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -153,17 +134,11 @@ class RuntimeConfig:
         # (10000 / 10000.0) digests identically, and a bad config fails
         # at resolution time, not after workers fork.
         for name in ("yield_trials", "frequency_local_trials"):
-            count = _integral(name, getattr(self, name))
-            if count < 1:
-                raise ValueError(f"{name} must be at least 1, got {count}")
-            object.__setattr__(self, name, count)
-        object.__setattr__(self, "yield_seed", _integral("yield_seed", self.yield_seed))
-        sigma = _finite("sigma_ghz", self.sigma_ghz)
-        if sigma < 0:
-            raise ValueError(f"sigma_ghz must be non-negative, got {sigma!r}")
-        object.__setattr__(self, "sigma_ghz", sigma)
+            object.__setattr__(self, name, integral(name, getattr(self, name), 1))
+        object.__setattr__(self, "yield_seed", integral("yield_seed", self.yield_seed))
+        object.__setattr__(self, "sigma_ghz", finite("sigma_ghz", self.sigma_ghz, 0.0))
         object.__setattr__(self, "random_bus_seeds", tuple(
-            _integral("random_bus_seeds", seed) for seed in self.random_bus_seeds
+            integral("random_bus_seeds", seed) for seed in self.random_bus_seeds
         ))
         if isinstance(self.routing, Mapping):
             object.__setattr__(self, "routing", SabreParameters(**dict(self.routing)))

@@ -8,9 +8,9 @@ from repro.persistence import SQLITE_MAGIC, read_cache_entries
 FAST = ["--trials", "200", "--local-trials", "60"]
 
 
-def _entries_by_key(path, file_format, version, key_of):
-    entries = read_cache_entries(path, file_format, version)
-    return {key_of(record): record for record in entries}
+def _entries_by_key(path, store):
+    entries = read_cache_entries(path, store.file_format, store.version)
+    return {store.record_key(record): record for record in entries}
 
 
 @pytest.fixture()
@@ -38,10 +38,8 @@ class TestMigrateRoundTrip:
         assert main(["cache", "migrate", str(sqlite), f"json:{back}"]) == 0
         capsys.readouterr()
 
-        original = _entries_by_key(design_cache, DesignCache.FORMAT,
-                                   DesignCache.VERSION, DesignCache._record_key)
-        roundtrip = _entries_by_key(back, DesignCache.FORMAT,
-                                    DesignCache.VERSION, DesignCache._record_key)
+        original = _entries_by_key(design_cache, DesignCache.PERSISTENCE)
+        roundtrip = _entries_by_key(back, DesignCache.PERSISTENCE)
         assert original, "source store was empty; the round trip tested nothing"
         assert roundtrip == original
 
@@ -77,10 +75,8 @@ class TestMigrateRoundTrip:
         out = capsys.readouterr().out
         assert "routing cache" in out
 
-        original = _entries_by_key(source, RoutingCache.FORMAT,
-                                   RoutingCache.VERSION, RoutingCache._record_key)
-        migrated = _entries_by_key(f"sqlite:{dest}", RoutingCache.FORMAT,
-                                   RoutingCache.VERSION, RoutingCache._record_key)
+        original = _entries_by_key(source, RoutingCache.PERSISTENCE)
+        migrated = _entries_by_key(f"sqlite:{dest}", RoutingCache.PERSISTENCE)
         assert original
         assert migrated == original
 

@@ -70,6 +70,16 @@ class TestSaveLoadRoundTrip:
         second = consumer.design(circuit, 1, FAST)
         assert second.frequencies[0] != -1.0
 
+    def test_numeric_spellings_share_one_store_record(self, tmp_path, circuit):
+        """sigma 1 and 1.0 are one plan: one record on disk, one in memory."""
+        path = tmp_path / "design_cache.json"
+        for sigma in (1, 1.0):
+            engine = DesignEngine()
+            engine.design(circuit, 0, DesignOptions(sigma_ghz=sigma, local_trials=50))
+            engine.frequency_cache.merge_save(path)
+        assert len(json.loads(path.read_text())["entries"]) == 1
+        assert DesignCache().load(path) == 1
+
     def test_in_memory_entries_win_over_file_entries(self, tmp_path, circuit):
         path = tmp_path / "design_cache.json"
         engine = DesignEngine()
@@ -125,7 +135,7 @@ class TestFileValidation:
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "future.json"
-        payload = {"format": DesignCache.FORMAT, "version": 2, "entries": []}
+        payload = {"format": DesignCache.PERSISTENCE.file_format, "version": 2, "entries": []}
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="unsupported .* version 2"):
             DesignCache().load(path)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.benchmarks import get_benchmark
-from repro.design import DesignEngine, DesignFlow, DesignOptions, StageCache
+from repro.design import DesignEngine, DesignFlow, DesignOptions
 from repro.design.bus_selection import select_four_qubit_buses, select_random_buses
 from repro.design.engine import BusStrategy, FrequencyStrategy
 from repro.evaluation import ExperimentConfig, architectures_for_config
@@ -181,30 +181,6 @@ class TestAblationFlows:
         # designs, not the number of architectures.
         assert stats["misses"] == len(distinct_designs)
         assert len(distinct_designs) < len(architectures)
-
-
-class TestStageCache:
-    def test_lru_bound(self):
-        cache = StageCache("test", max_entries=2)
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        cache.put(("c",), 3)
-        assert len(cache) == 2
-        assert cache.lookup(("a",)) is None
-        assert cache.lookup(("c",)) == 3
-
-    def test_rejects_non_positive_bound(self):
-        with pytest.raises(ValueError):
-            StageCache("test", max_entries=0)
-
-    def test_stats_and_clear(self):
-        cache = StageCache("test")
-        cache.put(("a",), 1)
-        cache.lookup(("a",))
-        cache.lookup(("missing",))
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
-        cache.clear()
-        assert len(cache) == 0
 
 
 class TestEnumCompatibility:

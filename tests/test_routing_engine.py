@@ -1,5 +1,7 @@
 """Tests for the routing engine: per-architecture reuse and memoization."""
 
+import json
+
 import pytest
 
 from repro.circuit import QuantumCircuit, cx, h, measure
@@ -291,6 +293,15 @@ class TestCachePersistence:
         tuned_engine.route(circuit, arch, keep_routed_circuit=False)
         assert tuned_engine.cache.stats()["hits"] == 1
 
+    def test_numeric_spellings_share_one_store_record(self, tmp_path):
+        """extended_set_weight 1 and 1.0 are one key: one record on disk."""
+        path = tmp_path / "routing_cache.json"
+        for weight in (1, 1.0):
+            engine = RoutingEngine(SabreParameters(extended_set_weight=weight))
+            engine.route(small_circuit(), ibm_16q_2x8(), keep_routed_circuit=False)
+            engine.cache.merge_save(path)
+        assert len(json.loads(path.read_text())["entries"]) == 1
+
     def test_content_digest_is_process_stable(self):
         """Persisted keys embed the circuit digest, so it must not depend on
         Python's per-process hash salt; the pinned value catches any
@@ -303,7 +314,7 @@ class TestCachePersistence:
         import json
 
         path = tmp_path / "future.json"
-        payload = {"format": RoutingCache.FORMAT, "version": 2, "entries": []}
+        payload = {"format": RoutingCache.PERSISTENCE.file_format, "version": 2, "entries": []}
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="unsupported .* version 2"):
             RoutingCache().load(path)
@@ -320,8 +331,8 @@ class TestCachePersistence:
         producer.cache.save(path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["routing_cache.json"]
         payload = json.loads(path.read_text())
-        assert payload["format"] == RoutingCache.FORMAT
-        assert payload["version"] == RoutingCache.VERSION
+        assert payload["format"] == RoutingCache.PERSISTENCE.file_format
+        assert payload["version"] == RoutingCache.PERSISTENCE.version
 
     def test_concurrent_merge_saves_lose_no_entries(self, tmp_path):
         """The satellite regression: two workers merging into one shared
