@@ -39,7 +39,8 @@ from repro.design.flow import DesignFlow, DesignOptions
 from repro.evaluation.configs import ExperimentConfig
 from repro.evaluation.experiment import DEFAULT_CONFIGS
 from repro.evaluation.figures import format_figure10_table
-from repro.evaluation.parallel import run_sweep
+from repro.evaluation.parallel import SweepExecutor
+from repro.evaluation.supervisor import SupervisorPolicy
 from repro.profiling.profiler import profile_circuit
 from repro.runtime.config import DEFAULT_EVALUATION_ROUTING, RuntimeConfig
 from repro.visualization.ascii_art import render_architecture, render_coupling_matrix
@@ -129,13 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
     supervision = sweep_parser.add_argument_group(
         "supervision",
         "fault-tolerant execution: supervised workers with heartbeats, "
-        "deadlines, bounded retry, and poison-task quarantine.  Any of "
-        "these flags enables supervision; none of them can change sweep "
-        "values (retries re-derive the same content-addressed seeds)",
+        "deadlines, bounded retry, and poison-task quarantine.  Every "
+        "--jobs N>1 sweep is supervised; at --jobs 1 any of these flags "
+        "enables supervision.  None of them can change sweep values "
+        "(retries re-derive the same content-addressed seeds)",
     )
     supervision.add_argument(
         "--supervised", action="store_true",
-        help="run tasks in supervised worker processes: dead workers are "
+        help="run tasks in supervised worker processes even at --jobs 1 "
+             "(always the case at --jobs N>1): dead workers are "
              "replaced, failed tasks retried with deterministic backoff, "
              "and tasks that keep killing their worker are quarantined "
              "instead of killing the sweep",
@@ -566,9 +569,10 @@ def _cmd_sweep(
     from repro.evaluation.parallel import save_worker_routing_cache
     from repro.runtime.metrics import global_metrics
 
-    # Any supervision knob (or a fault plan, which only the supervised
-    # executor survives) opts the sweep into supervised execution.
-    supervised = bool(
+    # Every multi-process sweep is supervised; at --jobs 1 any supervision
+    # knob (or a fault plan, which only worker processes survive) also
+    # moves the tasks out of this process.
+    supervised = jobs > 1 or bool(
         supervised or fault_plan or task_deadline is not None
         or heartbeat_timeout is not None or failures_out
     )
@@ -581,6 +585,13 @@ def _cmd_sweep(
         if config_values
         else DEFAULT_CONFIGS
     )
+    policy = SupervisorPolicy(
+        task_deadline_s=task_deadline,
+        heartbeat_timeout_s=heartbeat_timeout,
+        max_task_retries=max_task_retries,
+        backoff_base_s=retry_backoff,
+    ) if supervised else None
+    executor = SweepExecutor(settings=config, configs=configs, jobs=jobs, policy=policy)
     previous_plan = os.environ.get(faults.FAULT_PLAN_ENV)
     if fault_plan:
         # Load eagerly: workers read the plan lazily at the first
@@ -591,23 +602,8 @@ def _cmd_sweep(
         # Arm via the environment so forked workers inherit the plan.
         os.environ[faults.FAULT_PLAN_ENV] = fault_plan
         faults.reset()
-    executor = None
     try:
-        if supervised:
-            from repro.evaluation.supervisor import SupervisedExecutor, SupervisorPolicy
-
-            policy = SupervisorPolicy(
-                task_deadline_s=task_deadline,
-                heartbeat_timeout_s=heartbeat_timeout,
-                max_task_retries=max_task_retries,
-                backoff_base_s=retry_backoff,
-            )
-            executor = SupervisedExecutor(
-                settings=config, configs=configs, jobs=jobs, policy=policy,
-            )
-            results = executor.run(names)
-        else:
-            results = run_sweep(names, jobs=jobs, settings=config, configs=configs)
+        results = executor.run(names)
     finally:
         if fault_plan:
             if previous_plan is None:
@@ -627,8 +623,8 @@ def _cmd_sweep(
     if metrics_out:
         _write_metrics(metrics_out, baseline, command="sweep", config=config,
                        jobs=jobs)
-    failures = executor.failures if executor is not None else []
-    if failures_out and executor is not None:
+    failures = executor.failures
+    if failures_out:
         atomic_write_text(
             failures_out,
             json.dumps(executor.failure_report(), indent=2, sort_keys=True) + "\n",

@@ -34,10 +34,8 @@ from repro.evaluation.parallel import (
 )
 from repro.evaluation.supervisor import (
     QuarantinedTask,
-    SupervisedExecutor,
     SupervisorPolicy,
     TaskFailure,
-    run_supervised_sweep,
 )
 from repro.evaluation.pareto import is_dominated, pareto_front
 from repro.evaluation.analysis import (
@@ -67,10 +65,8 @@ __all__ = [
     "save_worker_routing_cache",
     "sweep_point_seed",
     "QuarantinedTask",
-    "SupervisedExecutor",
     "SupervisorPolicy",
     "TaskFailure",
-    "run_supervised_sweep",
     "pareto_front",
     "is_dominated",
     "HeadlineComparison",

@@ -2,8 +2,9 @@
 
 The paper's evaluation scores hundreds of (benchmark x configuration x
 architecture) points; each point is independent, so the sweep shards
-them across ``multiprocessing`` workers.  Two properties make the
-parallel sweep reproducible:
+them across supervised worker processes
+(:func:`~repro.evaluation.supervisor.supervise`).  Two properties make
+the parallel sweep reproducible:
 
 * **Deterministic point enumeration** — architectures are generated from
   seeded design flows, so every worker derives the same point list for a
@@ -32,25 +33,28 @@ for any task-completion order.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro import faults
 from repro.benchmarks.library import get_benchmark
 from repro.collision.yield_simulator import YieldSimulator
-from repro.design.engine import DesignEngine
-from repro.evaluation.checkpoint import (
-    SweepCheckpoint,
-    generation_task_key,
-    point_task_key,
-)
+from repro.evaluation.checkpoint import generation_task_key, point_task_key
 from repro.evaluation.configs import ExperimentConfig, architectures_for_config
 from repro.evaluation.experiment import (
     DEFAULT_CONFIGS,
     DataPoint,
     ExperimentResult,
     evaluate_point,
+)
+from repro.evaluation.supervisor import (
+    FAILURE_REPORT_FORMAT,
+    FAILURE_REPORT_VERSION,
+    QuarantinedTask,
+    SupervisorPolicy,
+    TaskKind,
+    register_task_kind,
+    supervise,
 )
 from repro.hardware.architecture import Architecture
 from repro.mapping.engine import RoutingEngine
@@ -106,8 +110,8 @@ def sweep_point_seed(base_seed: int, benchmark: str, config_value: str, arch_ind
 
 
 # ---------------------------------------------------------------------------
-# Worker task functions.  Must be module-level so they pickle under every
-# multiprocessing start method; they receive plain tuples and re-derive
+# Worker task functions.  Module-level, and addressed by task-kind name
+# across the pipe; they receive plain tuples and re-derive
 # circuits/profiles locally to keep the pickled payload small.
 #
 # All process-local worker state (engines, caches, checkpoints) lives in
@@ -122,22 +126,6 @@ def sweep_point_seed(base_seed: int, benchmark: str, config_value: str, arch_ind
 def _worker_session(settings: RuntimeConfig) -> Session:
     """This process's session for ``settings`` (created on first use)."""
     return _session_module().session_for(settings)
-
-
-def _worker_engine(settings: RuntimeConfig) -> RoutingEngine:
-    """The session-owned routing engine, warm-loaded from the persistent cache."""
-    return _worker_session(settings).routing_engine
-
-
-def _worker_design_engine(settings: RuntimeConfig) -> DesignEngine:
-    """The session-owned design engine, warm-loaded from the persistent cache."""
-    return _worker_session(settings).design_engine
-
-
-def _worker_checkpoint(settings: RuntimeConfig) -> Optional[SweepCheckpoint]:
-    if not settings.checkpoint_path:
-        return None
-    return _worker_session(settings).checkpoint
 
 
 def reset_worker_state() -> None:
@@ -219,7 +207,7 @@ def _generate_rows(
         allocation_strategy=settings.allocation_strategy,
         screening=settings.screening,
     )
-    # Merge freshly computed frequency plans back immediately: Pool
+    # Merge freshly computed frequency plans back immediately: sweep
     # workers have no end-of-sweep hook, and the locked merge keeps
     # concurrent workers from dropping each other's entries — so even
     # ``sweep --jobs N`` leaves the cache file complete.  Tasks served
@@ -288,15 +276,68 @@ def _evaluate_one(
     return point
 
 
+# ---------------------------------------------------------------------------
+# Task kinds.  Both execution paths run a task through its kind, and each
+# kind looks its task function up as a module attribute at call time, so
+# a function patched onto this module is what every task runs.
+# ---------------------------------------------------------------------------
+
+
+def _run_generation(task: Tuple) -> Tuple[Any, Snapshot]:
+    return _generate_task(task)
+
+
+def _run_point(task: Tuple) -> Tuple[Any, Snapshot]:
+    return _evaluate_task(task)
+
+
+def _generation_key(task: Tuple) -> str:
+    benchmark, config_value, settings = task
+    return generation_task_key(benchmark, config_value, settings)
+
+
+def _generation_describe(task: Tuple) -> Dict[str, Any]:
+    benchmark, config_value, _ = task
+    return {"benchmark": benchmark, "config": config_value, "arch_index": None}
+
+
+def _point_key(task: Tuple) -> str:
+    benchmark, config_value, arch_index, architecture, settings = task
+    return point_task_key(benchmark, config_value, arch_index, architecture, settings)
+
+
+def _point_describe(task: Tuple) -> Dict[str, Any]:
+    benchmark, config_value, arch_index, _, _ = task
+    return {"benchmark": benchmark, "config": config_value, "arch_index": arch_index}
+
+
+_GENERATION = TaskKind("generation", _run_generation, _generation_key, _generation_describe)
+_POINT = TaskKind("point", _run_point, _point_key, _point_describe)
+register_task_kind(_GENERATION)
+register_task_kind(_POINT)
+
+
 class SweepExecutor:
-    """Shards (benchmark x config x architecture) points across processes.
+    """Runs the (benchmark x config x architecture) sweep grid.
+
+    Tasks run in this process when ``jobs == 1`` and no ``policy`` was
+    given; otherwise they run in supervised worker processes
+    (:func:`~repro.evaluation.supervisor.supervise`), so a crash or hang
+    can never take down the coordinating process.  Completed results are
+    byte-identical either way.
+
+    Quarantined tasks accumulate on :attr:`failures`;
+    :meth:`failure_report` renders them as the partial-result report.
 
     Args:
         settings: Evaluation knobs shared by every point.
         configs: Experiment configurations to sweep (Figure 10's five by
             default).
-        jobs: Worker process count; ``1`` runs everything in-process.
-            Results are byte-identical for any value.
+        jobs: Worker process count.  Results are byte-identical for any
+            value.
+        policy: Supervision knobs; passing one requests supervised
+            workers even at ``jobs == 1``.  Multi-process sweeps without
+            one use the default :class:`SupervisorPolicy`.
     """
 
     def __init__(
@@ -304,12 +345,16 @@ class SweepExecutor:
         settings: Optional[RuntimeConfig] = None,
         configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
         jobs: int = 1,
+        policy: Optional[SupervisorPolicy] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.settings = settings or RuntimeConfig()
         self.configs = tuple(configs)
         self.jobs = int(jobs)
+        self.in_process = self.jobs == 1 and policy is None
+        self.policy = policy or SupervisorPolicy()
+        self.failures: List[QuarantinedTask] = []
 
     # -- phases ---------------------------------------------------------------
 
@@ -324,7 +369,7 @@ class SweepExecutor:
             for benchmark in benchmarks
             for config in self.configs
         ]
-        raw = self._run_tasks(_generate_task, tasks)
+        raw = self._run_tasks(_GENERATION, tasks)
         return [
             SweepPoint(benchmark, ExperimentConfig(config_value), index, architecture)
             for generated in raw
@@ -338,14 +383,14 @@ class SweepExecutor:
              point.architecture, self.settings)
             for point in points
         ]
-        return self._run_tasks(_evaluate_task, tasks)
+        return self._run_tasks(_POINT, tasks)
 
     def run(self, benchmarks: Sequence[str]) -> Dict[str, ExperimentResult]:
         """The full sweep: enumerate, evaluate, and assemble per-benchmark results.
 
         Returns one :class:`ExperimentResult` per benchmark, keyed by the
         benchmark's canonical name (aliases and repeated names collapse
-        onto one entry).
+        onto one entry).  Quarantined tasks' points are missing.
         """
         names = list(dict.fromkeys(get_benchmark(name).name for name in benchmarks))
         points = self.enumerate_points(names)
@@ -357,34 +402,50 @@ class SweepExecutor:
             result.normalize()
         return results
 
+    # -- reporting ------------------------------------------------------------
+
+    def failure_report(self) -> dict:
+        """The structured partial-result report (``--failures-out``)."""
+        quarantined = sorted(
+            (item.record() for item in self.failures),
+            key=lambda r: (
+                r["task"], r["benchmark"], r["config"],
+                -1 if r["arch_index"] is None else r["arch_index"], r["key"],
+            ),
+        )
+        return {
+            "format": FAILURE_REPORT_FORMAT,
+            "version": FAILURE_REPORT_VERSION,
+            "quarantined": quarantined,
+        }
+
     # -- execution ------------------------------------------------------------
 
-    def _run_tasks(self, func, tasks):
-        """Map tasks (in-process or via a Pool) and merge metrics deltas.
+    def _run_tasks(self, kind: TaskKind, tasks: List) -> List:
+        """Run tasks of one kind and merge the workers' metrics deltas.
 
-        Every task returns ``(payload, metrics_delta)``.  When tasks ran
-        in forked workers, their deltas are folded into this process's
-        registry — key-wise sums, so the merged totals are deterministic
-        for any completion order.  In-process tasks incremented this
-        registry directly; merging their deltas again would double-count,
-        so they are dropped.
+        Every task returns ``(payload, metrics_delta)``.  In-process tasks
+        incremented this registry directly; merging their deltas again
+        would double-count, so they are dropped.  Worker deltas are
+        folded in with key-wise sums, so the merged totals are
+        deterministic for any completion order.
         """
-        forked = not (self.jobs == 1 or len(tasks) <= 1)
-        results = self._map(func, tasks)
-        payloads = []
+        if self.in_process:
+            return [kind.func(task)[0] for task in tasks]
+        outcomes, quarantined = supervise(kind, tasks, self.jobs, self.policy)
         metrics = global_metrics()
-        for payload, delta in results:
+        payloads = []
+        for outcome in outcomes:
+            if outcome is None:
+                continue
+            payload, delta = outcome
+            metrics.merge(delta)
             payloads.append(payload)
-            if forked:
-                metrics.merge(delta)
+        for item in quarantined:
+            self.failures.append(item)
+            if self.settings.checkpoint_path:
+                _worker_session(self.settings).record_task_failure(item.record())
         return payloads
-
-    def _map(self, func, tasks):
-        if self.jobs == 1 or len(tasks) <= 1:
-            return [func(task) for task in tasks]
-        processes = min(self.jobs, len(tasks))
-        with multiprocessing.Pool(processes=processes) as pool:
-            return pool.map(func, tasks, chunksize=1)
 
 
 def run_sweep(
@@ -393,5 +454,16 @@ def run_sweep(
     settings: Optional[RuntimeConfig] = None,
     configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
 ) -> Dict[str, ExperimentResult]:
-    """One-call convenience wrapper around :class:`SweepExecutor`."""
-    return SweepExecutor(settings=settings, configs=configs, jobs=jobs).run(benchmarks)
+    """One-call convenience wrapper around :class:`SweepExecutor`.
+
+    Raises :class:`RuntimeError` when a supervised task was quarantined:
+    the caller never sees the executor's :attr:`~SweepExecutor.failures`,
+    so partial results are not returned.
+    """
+    executor = SweepExecutor(settings=settings, configs=configs, jobs=jobs)
+    results = executor.run(benchmarks)
+    if executor.failures:
+        where = ", ".join(f"{item.task} {item.benchmark}/{item.config}"
+                          for item in executor.failures)
+        raise RuntimeError(f"{len(executor.failures)} sweep task(s) quarantined: {where}")
+    return results

@@ -7,7 +7,7 @@ to lazily constructed shared state — the :class:`~repro.mapping.engine.Routing
 :class:`~repro.design.engine.DesignCache`), the sweep checkpoint store,
 and the process-wide ``YieldSimulator`` noise-tensor caches those engines
 share — and exposes digest-keyed entry points (:meth:`Session.design`,
-:meth:`Session.route`, :meth:`Session.evaluate`, :meth:`Session.sweep`).
+:meth:`Session.route`, :meth:`Session.evaluate`).
 
 Two properties make this the surface a long-lived serving tier can mount:
 
@@ -247,28 +247,6 @@ class Session:
                 engine=self.routing_engine, design_engine=self.design_engine,
             ),
         )
-
-    def sweep(
-        self,
-        benchmarks: Iterable[str],
-        configs=None,
-        jobs: int = 1,
-    ):
-        """Run the parallel evaluation sweep on this session's config.
-
-        With ``jobs=1`` the sweep tasks run in this process and find this
-        session through the registry; with ``jobs>1`` workers rebuild an
-        equivalent session from the pickled config (same digest) and
-        their metrics deltas merge back into this process's registry.
-        """
-        from repro.evaluation.parallel import SweepExecutor
-
-        executor = (
-            SweepExecutor(settings=self.config, jobs=jobs)
-            if configs is None
-            else SweepExecutor(settings=self.config, configs=configs, jobs=jobs)
-        )
-        return executor.run(benchmarks)
 
     # -- persistence --------------------------------------------------------
 

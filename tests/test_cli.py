@@ -301,3 +301,56 @@ class TestScreeningAndStatsFlags:
         unscreened = capsys.readouterr().out
         assert allocation_call_count() > 0
         assert unscreened == screened
+
+
+class TestExecutionPathInvariance:
+    """Logical counters count the sweep's work, not how its tasks ran.
+
+    The same sweep runs in-process (``--jobs 1``), in one supervised
+    worker (``--supervised --jobs 1``) and in two supervised workers
+    (``--jobs 2``).  Physical cache counters such as
+    ``design/layout/hits`` legitimately differ between these, because
+    each worker process warms its own caches; the logical ones must not.
+    """
+
+    SWEEP = ["sweep", "sym6_145", "--trials", "250", "--local-trials", "60",
+             "--configs", "eff-full", "eff-layout-only"]
+    LOGICAL = (
+        "design/allocation_calls", "design/architectures",
+        "design/frequency/misses", "routing/routes", "routing/swaps",
+        "routing/cache/misses", "screening/candidates", "screening/calls",
+        "yield/estimates", "yield/trials",
+    )
+    PATHS = {
+        "in-process": (["--jobs", "1"], False),
+        "supervised-1": (["--supervised", "--jobs", "1"], True),
+        "jobs-2": (["--jobs", "2"], True),
+    }
+
+    def _run(self, tmp_path, name, flags):
+        from repro.design import reset_allocation_call_count, reset_shared_caches
+        from repro.evaluation import parallel
+
+        # Cold process state, so every path computes the same work.
+        parallel.reset_worker_state()
+        reset_shared_caches()
+        reset_allocation_call_count()
+        out, metrics = tmp_path / f"{name}.json", tmp_path / f"{name}-metrics.json"
+        assert main([*self.SWEEP, *flags, "--output", str(out),
+                     "--metrics-out", str(metrics)]) == 0
+        counters = json.loads(metrics.read_text(encoding="utf-8"))["counters"]
+        return out.read_bytes(), counters
+
+    def test_output_and_logical_counters_match_across_paths(self, tmp_path, capsys):
+        runs = {name: self._run(tmp_path, name, flags)
+                for name, (flags, _) in self.PATHS.items()}
+        reference_bytes, reference = runs["in-process"]
+        assert all(reference.get(name, 0) > 0 for name in self.LOGICAL), reference
+        for name, (payload, counters) in runs.items():
+            assert payload == reference_bytes, f"{name} output differs"
+            assert {key: counters.get(key) for key in self.LOGICAL} == {
+                key: reference.get(key) for key in self.LOGICAL
+            }, f"{name} logical counters differ"
+            in_workers = self.PATHS[name][1]
+            # 2 generation tasks + 5 point tasks, exactly when in workers.
+            assert counters.get("supervisor/tasks") == (7 if in_workers else None)

@@ -351,7 +351,7 @@ MUTATIONS = {
         "    _probe_os.replace(tmp_path, final_path)\n",
     ),
     "REPRO-P401": (
-        "src/repro/evaluation/parallel.py",
+        "src/repro/evaluation/supervisor.py",
         "\n\ndef _planted_lint_probe(pool, tasks):\n"
         "    return pool.map(lambda task: task, tasks)\n",
     ),

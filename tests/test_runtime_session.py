@@ -173,7 +173,8 @@ class TestStorePathAliasing:
         )
         assert relative.digest() == absolute.digest()
         parallel.reset_worker_state()
-        assert parallel._worker_engine(relative) is parallel._worker_engine(absolute)
+        assert (session_for(relative).routing_engine
+                is session_for(absolute).routing_engine)
 
     def test_symlink_aliases_share_one_engine(self, tmp_path):
         real = tmp_path / "real"
@@ -188,15 +189,15 @@ class TestStorePathAliasing:
         )
         assert via_real.digest() == via_link.digest()
         parallel.reset_worker_state()
-        assert (parallel._worker_design_engine(via_real)
-                is parallel._worker_design_engine(via_link))
+        assert (session_for(via_real).design_engine
+                is session_for(via_link).design_engine)
 
     def test_different_paths_get_different_sessions(self, tmp_path):
         a = RuntimeConfig(routing_cache_path=str(tmp_path / "a.json"), **FAST_KW)
         b = RuntimeConfig(routing_cache_path=str(tmp_path / "b.json"), **FAST_KW)
         assert a.digest() != b.digest()
         parallel.reset_worker_state()
-        assert parallel._worker_engine(a) is not parallel._worker_engine(b)
+        assert session_for(a).routing_engine is not session_for(b).routing_engine
 
     def test_scheme_prefix_survives_canonicalization(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -244,7 +245,8 @@ class TestSessionByteIdentity:
         session = session_for(FAST_SETTINGS)  # warm from the run above
         assert session.has_design_engine
         for jobs in (1, 2, 4):
-            result = session.sweep(["sym6_145"], configs=FAST_CONFIGS, jobs=jobs)
+            result = run_sweep(["sym6_145"], jobs=jobs, settings=session.config,
+                               configs=FAST_CONFIGS)
             assert point_fingerprint(result["sym6_145"]) == point_fingerprint(
                 reference["sym6_145"]
             ), f"warm session sweep diverged at jobs={jobs}"

@@ -10,17 +10,18 @@ default suite.
 import pytest
 
 from repro import faults
+from repro.evaluation.parallel import SweepExecutor
 from repro.evaluation.supervisor import (
+    BACKOFF_CAP_S,
     FAILURE_REPORT_FORMAT,
     FAILURE_REPORT_VERSION,
     QuarantinedTask,
-    SupervisedExecutor,
     SupervisorPolicy,
     TaskFailure,
     TaskKind,
-    _kind_for,
     _TASK_KINDS,
     register_task_kind,
+    supervise,
 )
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import diff_snapshots, global_metrics
@@ -29,19 +30,22 @@ from repro.runtime.metrics import diff_snapshots, global_metrics
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError, match="max_task_retries"):
-        SupervisorPolicy(max_task_retries=-1)
-    with pytest.raises(ValueError, match="heartbeat_interval_s"):
-        SupervisorPolicy(heartbeat_interval_s=0.0)
+    for field, value in (
+        ("task_deadline_s", 0.0), ("task_deadline_s", float("nan")),
+        ("heartbeat_timeout_s", -1.0), ("max_task_retries", -1),
+        ("backoff_base_s", -0.05),
+    ):
+        with pytest.raises(ValueError, match=field):
+            SupervisorPolicy(**{field: value})
+    SupervisorPolicy(task_deadline_s=1.0, heartbeat_timeout_s=0.5,
+                     max_task_retries=0, backoff_base_s=0.0)
 
 
 def test_backoff_is_deterministic_exponential_with_cap():
-    policy = SupervisorPolicy(backoff_base_s=0.05, backoff_cap_s=0.3)
-    assert policy.backoff_delay(1) == pytest.approx(0.05)
-    assert policy.backoff_delay(2) == pytest.approx(0.10)
-    assert policy.backoff_delay(3) == pytest.approx(0.20)
-    assert policy.backoff_delay(4) == pytest.approx(0.30)  # capped
-    assert policy.backoff_delay(10) == pytest.approx(0.30)
+    assert BACKOFF_CAP_S == 2.0
+    policy = SupervisorPolicy(backoff_base_s=0.5)
+    delays = [policy.backoff_delay(retry) for retry in (1, 2, 3, 4, 10)]
+    assert delays == pytest.approx([0.5, 1.0, 2.0, 2.0, 2.0])  # capped from 3
 
 
 # -- failure records ---------------------------------------------------------
@@ -68,7 +72,7 @@ def test_failure_record_shape():
 
 
 def test_failure_report_envelope_and_ordering():
-    executor = SupervisedExecutor(settings=RuntimeConfig())
+    executor = SweepExecutor(settings=RuntimeConfig())
     executor.failures.extend([
         _quarantined(key="z", benchmark="b2", arch_index=4),
         _quarantined(key="a", benchmark="b1", arch_index=None, task="generation"),
@@ -85,19 +89,8 @@ def test_failure_report_envelope_and_ordering():
 
 
 def test_empty_failure_report():
-    executor = SupervisedExecutor(settings=RuntimeConfig())
+    executor = SweepExecutor(settings=RuntimeConfig())
     assert executor.failure_report()["quarantined"] == []
-
-
-# -- task-kind registry ------------------------------------------------------
-
-
-def test_unregistered_function_is_rejected():
-    def mystery(task):
-        return task, None
-
-    with pytest.raises(KeyError, match="not a .*registered"):
-        _kind_for(mystery)
 
 
 # -- the supervision loop, driven by synthetic task kinds --------------------
@@ -131,11 +124,8 @@ def synthetic_kinds():
 
 def _supervise(kind_name, tasks, **policy_kwargs):
     policy_kwargs.setdefault("backoff_base_s", 0.001)
-    executor = SupervisedExecutor(
-        settings=RuntimeConfig(), jobs=2,
-        policy=SupervisorPolicy(**policy_kwargs),
-    )
-    return executor._supervise(_TASK_KINDS[kind_name], tasks)
+    return supervise(_TASK_KINDS[kind_name], tasks, jobs=2,
+                     policy=SupervisorPolicy(**policy_kwargs))
 
 
 def test_supervised_tasks_complete_in_index_order(synthetic_kinds):

@@ -10,6 +10,7 @@ from repro.evaluation import (
     sweep_point_seed,
 )
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.session import session_for
 
 FAST_SETTINGS = RuntimeConfig(
     yield_trials=300,
@@ -89,6 +90,23 @@ class TestSweepStructure:
             p.total_gates for p in serial.points
         ]
 
+    def test_quarantined_task_raises_instead_of_returning_partial_results(self):
+        """A raising task is quarantined by the supervised workers; the
+        one-call wrapper must not hand back the remaining points as if
+        the sweep were complete."""
+        from repro import faults
+
+        faults.reset()
+        faults.arm(faults.FaultPlan(faults=(
+            faults.FaultSpec(site="evaluate:start", kind="exception", attempts=None),
+        )))
+        try:
+            with pytest.raises(RuntimeError, match="quarantined: point sym6_145/eff-full"):
+                run_sweep(["sym6_145"], jobs=2, settings=FAST_SETTINGS,
+                          configs=(ExperimentConfig.EFF_FULL,))
+        finally:
+            faults.reset()
+
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             SweepExecutor(jobs=0)
@@ -155,7 +173,7 @@ class TestRoutingCachePersistence:
         parallel.reset_worker_state()
         serial = run_sweep(["sym6_145"], jobs=1, settings=settings,
                            configs=FAST_CONFIGS)
-        engine = parallel._worker_engine(settings)
+        engine = session_for(settings).routing_engine
         assert engine.cache.misses == 0
         assert engine.cache.hits > 0
         assert point_fingerprint(sharded["sym6_145"]) == point_fingerprint(
