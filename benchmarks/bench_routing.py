@@ -13,6 +13,11 @@ Figure 10 evaluation grid (benchmark x architecture):
   bidirectional refinement) never loses to the single forward pass on
   any point while strictly improving the grid total — the regression
   gate that pins the quality win behind the default flip.
+* **Identity** — per-point swap counts at ``passes=1`` and ``passes=3``
+  equal the committed goldens in ``baselines/BENCH_routing_swaps.json``
+  exactly, and each grid's ``passes=3`` total is pinned in
+  ``PASSES3_TOTALS`` (3963 is the quick grid's, the figure quoted since
+  the ``passes=3`` default flip).
 
 The pre-refactor pipeline is frozen below (``_Reference*`` classes): the
 original per-candidate dict-copy ``_choose_swap``, the original
@@ -27,6 +32,9 @@ Run styles:
   perf-trajectory artifact.
 * ``python -m pytest benchmarks/bench_routing.py`` — same run wrapped in
   a test with the speedup/quality assertions.
+* ``python benchmarks/bench_routing.py --write-goldens`` — recompute the
+  swap-count goldens of both grids at both pass counts and rewrite
+  ``baselines/BENCH_routing_swaps.json`` (no timing, no checks).
 """
 
 import argparse
@@ -44,7 +52,7 @@ from repro.circuit.dag import CircuitDAG, DAGNode, ExecutionFrontier
 from repro.circuit.gates import Gate
 from repro.design import DesignFlow, DesignOptions
 from repro.hardware import ibm_16q_2x8, ibm_20q_4x5
-from repro.mapping import DistanceMatrix, RoutingEngine, initial_mapping
+from repro.mapping import DistanceMatrix, RoutingEngine, SabreParameters, initial_mapping
 from repro.profiling import profile_circuit
 from repro.runtime.config import DEFAULT_EVALUATION_ROUTING
 
@@ -57,6 +65,12 @@ MIN_SPEEDUP = 3.0
 #: wall-clock ratios jitter; the JSON artifact still records the true
 #: ratio, so the perf trajectory catches slow drift either way.
 CI_MIN_SPEEDUP = 2.0
+
+#: Committed per-point swap counts of both grids at passes=1 and passes=3.
+SWAP_GOLDENS = Path(__file__).parent / "baselines" / "BENCH_routing_swaps.json"
+
+#: Each grid's swap total at the passes=3 evaluation default.
+PASSES3_TOTALS = {"quick": 3963, "full": 6175}
 
 #: Benchmarks of the quick grid (CI); the full grid adds the rest.
 QUICK_GRID_BENCHMARKS = ("sym6_145", "z4_268", "adr4_197", "qft_16", "ising_model_16")
@@ -392,6 +406,32 @@ def _time_grid(route_point, points, repeats: int):
     return best, swaps
 
 
+def swap_counts(points, parameters) -> Dict[str, int]:
+    """Swap count per grid point (``"benchmark/architecture"``) on a fresh engine."""
+    engine = RoutingEngine(parameters)
+    return {
+        f"{name}/{arch_name}": engine.route(
+            circuit, architecture, profile=profile, keep_routed_circuit=False
+        ).num_swaps
+        for name, arch_name, circuit, profile, architecture in points
+    }
+
+
+def write_goldens(path: Path = SWAP_GOLDENS) -> dict:
+    """Recompute and write the swap-count goldens of both grids."""
+    record = {"bench": "routing-swaps",
+              "generated_by": "python benchmarks/bench_routing.py --write-goldens"}
+    for grid, quick in (("quick", True), ("full", False)):
+        points = _grid(quick)
+        record[grid] = {
+            f"passes={passes}": swap_counts(points, SabreParameters(passes=passes))
+            for passes in (1, 3)
+        }
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return record
+
+
 def run_bench(quick: bool = False, repeats: int = 3) -> dict:
     """Route the grid with both pipelines; return the comparison record."""
     points = _grid(quick)
@@ -444,6 +484,7 @@ def run_bench(quick: bool = False, repeats: int = 3) -> dict:
         new = engine_swaps[(name, arch_name)]
         bidirectional = bidirectional_swaps[(name, arch_name)]
         rows.append({
+            "point": f"{name}/{arch_name}",
             "benchmark": name,
             "architecture": arch_name,
             "reference_swaps": ref,
@@ -500,6 +541,24 @@ def render_table(record: dict) -> str:
 
 def check_record(record: dict, min_speedup: float = MIN_SPEEDUP) -> None:
     """The acceptance assertions shared by the test and script entry points."""
+    goldens = json.loads(SWAP_GOLDENS.read_text(encoding="utf-8"))
+    for name, total in PASSES3_TOTALS.items():
+        assert sum(goldens[name]["passes=3"].values()) == total, (
+            f"the committed {name}-grid passes=3 goldens no longer total {total}"
+        )
+    name = "quick" if record["quick"] else "full"
+    grid = goldens[name]
+    for column, passes in (("engine_swaps", "passes=1"), ("bidirectional_swaps", "passes=3")):
+        measured = {row["point"]: row[column] for row in record["rows"]}
+        assert measured == grid[passes], (
+            f"{passes} swap counts differ from {SWAP_GOLDENS.name}: "
+            + str({point: (count, grid[passes].get(point))
+                   for point, count in measured.items() if count != grid[passes].get(point)})
+        )
+    assert record["bidirectional_total_swaps"] == PASSES3_TOTALS[name], (
+        f"{name}-grid passes=3 swap total {record['bidirectional_total_swaps']} "
+        f"is not {PASSES3_TOTALS[name]}"
+    )
     regressed = [row for row in record["rows"] if row["regressed"]]
     assert not regressed, f"swap-count regressions vs pre-refactor router: {regressed}"
     assert record["speedup"] >= min_speedup, (
@@ -547,7 +606,13 @@ def main(argv=None) -> int:
     parser.add_argument("--min-speedup", type=float, default=MIN_SPEEDUP,
                         help=f"speedup assertion floor (default {MIN_SPEEDUP}; "
                              f"CI uses {CI_MIN_SPEEDUP} to tolerate noisy shared runners)")
+    parser.add_argument("--write-goldens", action="store_true",
+                        help=f"rewrite {SWAP_GOLDENS.name} from both grids and exit")
     args = parser.parse_args(argv)
+    if args.write_goldens:
+        write_goldens()
+        print(f"wrote {SWAP_GOLDENS}")
+        return 0
     record = run_bench(quick=args.quick, repeats=args.repeats)
     write_result("table_routing_speedup", render_table(record))
     json_path = _write_json(record, args.json)

@@ -16,7 +16,10 @@ the real classes:
   configs differing only in that field and require
   :meth:`RuntimeConfig.digest` to differ.  A field whose variation does
   not move the digest — or that the probe cannot vary at all — fails.
-* **REPRO-C302** — the same probe over every
+  The probe also spells each numeric field the other way (an int field
+  as an integral float, a float field as an int) and requires the
+  digest *not* to move: one value must be one cache key.
+* **REPRO-C302** — the same two probes over every
   :class:`~repro.mapping.sabre.SabreParameters` field through the
   embedded ``routing`` payload.
 * **REPRO-C304** — static key coverage: every
@@ -93,6 +96,57 @@ _SPECIAL_PROBES: Dict[str, Tuple[Dict[str, Any], Callable[[Any], Any]]] = {
 }
 
 
+def _spellings(value: Any) -> Optional[Tuple[Any, Any]]:
+    """One numeric value in its declared type and in the other numeric type.
+
+    Returns ``(value, respelled)`` — an int (or tuple of ints) and the same
+    value as float(s), or an integral float and the same value as an int —
+    or None for values with no numeric spelling.
+    """
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, int):
+        return value, float(value)
+    if isinstance(value, float):
+        whole = float(round(value)) or 1.0
+        return whole, int(whole)
+    if value and isinstance(value, tuple) and all(
+        isinstance(item, int) and not isinstance(item, bool) for item in value
+    ):
+        return value, tuple(float(item) for item in value)
+    return None
+
+
+def _spelling_finding(
+    rule: str, path: str, owner: str, name: str, value: Any,
+    digest_with: Callable[[Any], str],
+) -> Optional[Finding]:
+    """A finding when two spellings of one value of field ``name`` digest apart.
+
+    ``digest_with(v)`` is the digest with the field set to ``v``.  A
+    spelling the class rejects at construction cannot split a cache key,
+    so it passes.
+    """
+    spelled = _spellings(value)
+    if spelled is None:
+        return None
+    try:
+        same = digest_with(spelled[0]) == digest_with(spelled[1])
+    except (TypeError, ValueError):
+        return None
+    if same:
+        return None
+    return Finding(
+        rule=rule, path=path, line=1,
+        message=(
+            f"field {name!r} of {owner} digests the spellings {spelled[0]!r} and "
+            f"{spelled[1]!r} of one value differently: coerce it to its declared "
+            "type in __post_init__ so one value is one cache key"
+        ),
+        context=f"field {name}",
+    )
+
+
 def probe_digest_fields(
     cls: type,
     *,
@@ -143,6 +197,16 @@ def probe_digest_fields(
                 ),
                 context=f"field {field.name}",
             ))
+        value = getattr(base, field.name)
+        spelling = _spelling_finding(
+            rule, path, cls.__name__, field.name,
+            variant_value if value is None else value,
+            lambda spelled, name=field.name: digest_of(
+                dataclasses.replace(base, **{name: spelled})
+            ),
+        )
+        if spelling is not None:
+            findings.append(spelling)
     return findings
 
 
@@ -195,6 +259,17 @@ def routing_params_findings() -> List[Finding]:
                 ),
                 context=f"field {field.name}",
             ))
+        value = getattr(base_config.routing, field.name)
+        spelling = _spelling_finding(
+            "REPRO-C302", _SABRE_PATH, "SabreParameters", field.name,
+            variant_value if value is None else value,
+            lambda spelled, name=field.name: dataclasses.replace(
+                base_config,
+                routing=dataclasses.replace(base_config.routing, **{name: spelled}),
+            ).digest(),
+        )
+        if spelling is not None:
+            findings.append(spelling)
     return findings
 
 

@@ -118,7 +118,9 @@ def _build(name: str) -> QuantumCircuit:
             master = qft_circuit(16)
         else:
             raise KeyError(name)
-        master.content_hash()  # warm the digest so every copy shares it
+        # Warm the digest and the lowered IR so every copy shares them.
+        master.content_hash()
+        master.lowered()
         _MASTERS[name] = master
     return master.copy()
 

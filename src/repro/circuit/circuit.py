@@ -12,6 +12,7 @@ import hashlib
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.circuit.gates import Gate, GateKind
+from repro.circuit.ir import CircuitIR
 
 
 class QuantumCircuit:
@@ -29,6 +30,7 @@ class QuantumCircuit:
         self._gates: List[Gate] = []
         self._gates_tuple: Optional[Tuple[Gate, ...]] = None
         self._content_hash: Optional[int] = None
+        self._ir: Optional[CircuitIR] = None
         self.name = name
 
     # -- basic container protocol -------------------------------------------------
@@ -63,6 +65,18 @@ class QuantumCircuit:
             self._content_hash = int.from_bytes(digest.digest()[:8], "big")
         return self._content_hash
 
+    def lowered(self) -> CircuitIR:
+        """The circuit lowered to the flat integer IR, cached until the next append.
+
+        Profiling, routing and routing verification all read this one
+        :class:`~repro.circuit.ir.CircuitIR` instead of the gate objects,
+        so a circuit is lowered once however many architectures it is
+        routed onto.
+        """
+        if self._ir is None:
+            self._ir = CircuitIR.lower(self._num_qubits, self.gates)
+        return self._ir
+
     def __len__(self) -> int:
         return len(self._gates)
 
@@ -95,18 +109,20 @@ class QuantumCircuit:
         self._gates.append(gate)
         self._gates_tuple = None
         self._content_hash = None
+        self._ir = None
         return self
 
     def append_unchecked(self, gate: Gate) -> None:
         """Append a gate without qubit-range validation.
 
-        For hot loops that construct gates on indices already known to be
-        in range (the router appends one gate per executed operation);
-        everything else should use :meth:`append`.
+        For loops that construct gates on indices already known to be in
+        range (building a routed circuit appends one gate per routing
+        step); everything else should use :meth:`append`.
         """
         self._gates.append(gate)
         self._gates_tuple = None
         self._content_hash = None
+        self._ir = None
 
     def extend(self, gates: Iterable[Gate]) -> "QuantumCircuit":
         """Append every gate from ``gates``."""
@@ -126,16 +142,17 @@ class QuantumCircuit:
     def copy(self, name: Optional[str] = None) -> "QuantumCircuit":
         """Return a shallow copy (gates are immutable, so this is safe).
 
-        The cached gate tuple and content digest carry over — they
-        describe the same gate sequence — so copies hit the engines'
-        identity fast paths instead of re-hashing or re-comparing
-        thousands of gates; either cache resets independently on the
-        copy's next append.
+        The cached gate tuple, content digest and lowered IR carry over —
+        they describe the same gate sequence — so copies hit the engines'
+        identity fast paths instead of re-hashing, re-comparing or
+        re-lowering thousands of gates; every cache resets independently
+        on the copy's next append.
         """
         new = QuantumCircuit(self._num_qubits, name or self.name)
         new._gates = list(self._gates)
         new._gates_tuple = self._gates_tuple
         new._content_hash = self._content_hash
+        new._ir = self._ir
         return new
 
     def remap_qubits(self, mapping: Dict[int, int], num_qubits: Optional[int] = None,

@@ -1,21 +1,24 @@
-"""Gate dependency DAG used by the SWAP router.
+"""Gate dependency DAG views over the flat circuit IR.
 
 The mapper (``repro.mapping``) consumes two-qubit gates in dependency
 order: a gate becomes executable only once all earlier gates acting on any
-of its qubits have been executed.  :class:`CircuitDAG` captures exactly
-that partial order, exposing a mutable *front layer* interface in the
+of its qubits have been executed.  That partial order lives in the
+circuit's lowered :class:`~repro.circuit.ir.CircuitIR`; :class:`CircuitDAG`
+and :class:`ExecutionFrontier` are thin object views over it, in the
 style of the SABRE algorithm (Li et al., ASPLOS 2019 — reference [18] of
-the paper).
+the paper), for callers that want :class:`DAGNode` objects.  The router
+and the routing verifier run on the IR arrays directly.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.gates import Gate, GateKind, TWO_QUBIT_GATES
+from repro.circuit.gates import Gate
+from repro.circuit.ir import CircuitIR, lookahead
 
 
 @dataclass
@@ -27,22 +30,12 @@ class DAGNode:
         gate: The gate itself.
         predecessors: Indices of nodes that must execute before this one.
         successors: Indices of nodes that depend on this one.
-        two_qubit: Cached ``gate.is_two_qubit`` (the router checks it on
-            every front-layer scan; the property re-derives the gate kind
-            from its name each call).
     """
 
     index: int
     gate: Gate
     predecessors: Set[int] = field(default_factory=set)
     successors: Set[int] = field(default_factory=set)
-    two_qubit: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        # Direct frozenset membership instead of the kind property: this
-        # runs once per gate per DAG build and is equivalent (measure and
-        # barrier are not in TWO_QUBIT_GATES).
-        self.two_qubit = self.gate.name in TWO_QUBIT_GATES
 
 
 class CircuitDAG:
@@ -51,58 +44,13 @@ class CircuitDAG:
     Barriers order the gates around them but are not emitted as nodes to
     execute; measurements and single-qubit gates are kept so that the
     router can reproduce the *total* post-mapping gate count used as the
-    performance metric in Section 5.1.
+    performance metric in Section 5.1.  Nodes are built on first access.
     """
 
     def __init__(self, circuit: QuantumCircuit) -> None:
         self._circuit = circuit
+        self._ir = circuit.lowered()
         self._nodes: Dict[int, DAGNode] = {}
-        self._build()
-        # Flat, index-addressed traversal tables (node indices are original
-        # circuit positions, so a list indexed by position beats a dict of
-        # dataclasses in the router's hot BFS loops; gaps left by removed
-        # barrier nodes simply hold empty entries).
-        size = len(circuit.gates)
-        self._succ_sorted: List[List[int]] = [[] for _ in range(size)]
-        self._two_qubit_flags = bytearray(size)
-        for index, node in self._nodes.items():
-            self._succ_sorted[index] = sorted(node.successors)
-            self._two_qubit_flags[index] = node.two_qubit
-
-    def _build(self) -> None:
-        last_on_qubit: Dict[int, int] = {}
-        for index, gate in enumerate(self._circuit.gates):
-            if gate.name == "barrier":
-                # A barrier acts as an ordering point on the qubits it spans
-                # (or all qubits when it spans none explicitly).
-                qubits = gate.qubits or tuple(range(self._circuit.num_qubits))
-                node = DAGNode(index, gate)
-                for qubit in qubits:
-                    if qubit in last_on_qubit:
-                        pred = last_on_qubit[qubit]
-                        node.predecessors.add(pred)
-                        self._nodes[pred].successors.add(index)
-                    last_on_qubit[qubit] = index
-                self._nodes[index] = node
-                continue
-            node = DAGNode(index, gate)
-            for qubit in gate.qubits:
-                if qubit in last_on_qubit:
-                    pred = last_on_qubit[qubit]
-                    node.predecessors.add(pred)
-                    self._nodes[pred].successors.add(index)
-                last_on_qubit[qubit] = index
-            self._nodes[index] = node
-        # Drop barrier nodes now that their ordering effect has been applied;
-        # rewire their predecessors to their successors.
-        for index in [i for i, n in self._nodes.items() if n.gate.kind is GateKind.BARRIER]:
-            node = self._nodes.pop(index)
-            for succ in node.successors:
-                self._nodes[succ].predecessors.discard(index)
-                self._nodes[succ].predecessors.update(node.predecessors)
-            for pred in node.predecessors:
-                self._nodes[pred].successors.discard(index)
-                self._nodes[pred].successors.update(node.successors)
 
     # -- read-only structure -------------------------------------------------------
 
@@ -111,74 +59,78 @@ class CircuitDAG:
         return self._circuit
 
     @property
+    def ir(self) -> CircuitIR:
+        """The lowered circuit this DAG views."""
+        return self._ir
+
+    @property
     def num_nodes(self) -> int:
-        return len(self._nodes)
+        return self._ir.num_nodes
 
     def node(self, index: int) -> DAGNode:
-        return self._nodes[index]
+        node = self._nodes.get(index)
+        if node is None:
+            gate = self._circuit.gates[index]
+            if gate.name == "barrier":
+                raise KeyError(index)
+            node = DAGNode(index, gate, set(self._ir.predecessors(index)),
+                           set(self._ir.successors(index)))
+            self._nodes[index] = node
+        return node
 
     def nodes(self) -> List[DAGNode]:
         """All nodes sorted by original circuit position."""
-        return [self._nodes[i] for i in sorted(self._nodes)]
+        gates = self._circuit.gates
+        return [self.node(i) for i in range(len(gates)) if gates[i].name != "barrier"]
 
     def topological_order(self) -> List[DAGNode]:
         """Kahn's algorithm; ties broken by original circuit order."""
-        in_degree = {i: len(n.predecessors) for i, n in self._nodes.items()}
-        ready = sorted(i for i, d in in_degree.items() if d == 0)
+        ir = self._ir
+        remaining = list(ir.pred_count)
+        ready = list(ir.front)
         order: List[DAGNode] = []
         while ready:
-            index = ready.pop(0)
-            order.append(self._nodes[index])
-            for succ in sorted(self._nodes[index].successors):
-                in_degree[succ] -= 1
-                if in_degree[succ] == 0:
-                    # Keep `ready` sorted so the order is deterministic.
-                    ready.append(succ)
-                    ready.sort()
-        if len(order) != len(self._nodes):
+            index = heapq.heappop(ready)
+            order.append(self.node(index))
+            for succ in ir.successors(index):
+                remaining[succ] -= 1
+                if not remaining[succ]:
+                    heapq.heappush(ready, succ)
+        if len(order) != ir.num_nodes:
             raise RuntimeError("cycle detected in circuit DAG (should be impossible)")
         return order
 
     def front_layer(self) -> List[DAGNode]:
         """Nodes with no predecessors (initially executable gates)."""
-        return [self._nodes[i] for i in sorted(self._nodes) if not self._nodes[i].predecessors]
+        return [self.node(i) for i in self._ir.front]
 
 
 class ExecutionFrontier:
     """Mutable traversal state over a :class:`CircuitDAG`.
 
-    The router repeatedly asks for the current *front layer* (gates whose
-    dependencies are satisfied), executes some of them, and advances.  This
-    class owns the bookkeeping so the routing algorithm stays readable.
+    Tracks which gates have executed and which are executable now (the
+    *front layer*), and looks ahead past the front.
     """
 
     def __init__(self, dag: CircuitDAG) -> None:
         self._dag = dag
-        # Flat, index-addressed predecessor counts (same layout as the DAG's
-        # traversal tables; gaps from removed barriers stay at zero and are
-        # never referenced because no live node lists them as a successor).
-        self._remaining_preds: List[int] = [0] * len(dag._succ_sorted)
-        self._front: Set[int] = set()
-        for index, node in dag._nodes.items():
-            count = len(node.predecessors)
-            self._remaining_preds[index] = count
-            if count == 0:
-                self._front.add(index)
-        self._executed: Set[int] = set()
+        self._remaining_preds: List[int] = list(dag.ir.pred_count)
+        self._front: Set[int] = set(dag.ir.front)
+        self._num_executed = 0
 
     @property
     def done(self) -> bool:
         """True once every gate has been executed."""
-        return len(self._executed) == self._dag.num_nodes
+        return self._num_executed == self._dag.num_nodes
 
     @property
     def num_executed(self) -> int:
-        return len(self._executed)
+        return self._num_executed
 
     @property
     def remaining(self) -> int:
         """Number of gates not yet executed."""
-        return self._dag.num_nodes - len(self._executed)
+        return self._dag.num_nodes - self._num_executed
 
     def front_nodes(self) -> List[DAGNode]:
         """Currently executable gates, in original circuit order."""
@@ -189,15 +141,14 @@ class ExecutionFrontier:
         if index not in self._front:
             raise ValueError(f"gate {index} is not currently executable")
         self._front.discard(index)
-        self._executed.add(index)
+        self._num_executed += 1
         unblocked: List[DAGNode] = []
         remaining = self._remaining_preds
-        nodes = self._dag._nodes
-        for succ in self._dag._succ_sorted[index]:
+        for succ in self._dag.ir.successors(index):
             remaining[succ] -= 1
             if not remaining[succ]:
                 self._front.add(succ)
-                unblocked.append(nodes[succ])
+                unblocked.append(self._dag.node(succ))
         return unblocked
 
     def lookahead_nodes(self, depth: int) -> List[DAGNode]:
@@ -207,34 +158,7 @@ class ExecutionFrontier:
         consider gates that will become executable soon, not just the
         immediately blocked ones.
         """
-        result: List[DAGNode] = []
-        if depth <= 0:
-            return result
-        # Every node reachable from a front node's successors is a strict
-        # descendant of the front, so it can be neither executed nor in the
-        # front itself — visited-tracking alone suffices.  Nodes are
-        # deduplicated at enqueue time (first enqueue claims the BFS slot,
-        # same order as dedup-at-pop) so each node enters the queue once.
-        # The walk runs on the DAG's flat index tables (byte flags and
-        # presorted successor lists) — this is the router's hottest loop.
-        successors = self._dag._succ_sorted
-        two_qubit = self._dag._two_qubit_flags
-        visited = bytearray(len(successors))
-        queue: deque = deque()
-        for index in sorted(self._front):
-            for successor in successors[index]:
-                if not visited[successor]:
-                    visited[successor] = 1
-                    queue.append(successor)
-        dag_node = self._dag.node
-        while queue:
-            index = queue.popleft()
-            if two_qubit[index]:
-                result.append(dag_node(index))
-                if len(result) >= depth:
-                    break
-            for successor in successors[index]:
-                if not visited[successor]:
-                    visited[successor] = 1
-                    queue.append(successor)
-        return result
+        return [
+            self._dag.node(i)
+            for i in lookahead(self._dag.ir, sorted(self._front), depth)
+        ]

@@ -122,8 +122,8 @@ class Gate:
         Only operand distinctness is re-validated (the one invariant a
         non-injective mapping can break); name, parameter, and arity checks
         from ``__post_init__`` are skipped because translation cannot
-        violate them and the router remaps one gate per executed operation,
-        making redundant re-validation a measurable cost.
+        violate them and building a routed circuit remaps one gate per
+        routed operation, making redundant re-validation a measurable cost.
 
         Args:
             mapping: A dict-like or callable from old index to new index.

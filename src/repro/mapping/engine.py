@@ -13,8 +13,8 @@ of reuse make that cheap:
   :class:`~repro.mapping.router.MappingResult` objects under a
   ``(circuit, architecture, parameters)`` key.
 
-All three tables (results, routers, DAGs) are bounded
-:class:`~repro.utils.memo.Memo` instances.
+Both tables (results, routers) are bounded :class:`~repro.utils.memo.Memo`
+instances.
 
 Both layers are *transparent*: routing is a pure deterministic function of
 the key, so cache hits return exactly what a fresh computation would, and
@@ -243,10 +243,6 @@ class RoutingEngine:
         # sibling tables so a worker sweeping many candidate architectures
         # cannot grow distance matrices and edge tables without limit.
         self._routers = Memo(128)
-        # Dependency DAGs keyed by circuit identity: one circuit routes onto
-        # many candidate architectures per evaluation, and the DAG (plus its
-        # use inside verify_routing) is the same for all of them.
-        self._dags = Memo(32)
 
     def router_for(self, architecture: Architecture) -> SabreRouter:
         """The shared router (and distance matrix) for an architecture (bounded LRU)."""
@@ -260,27 +256,6 @@ class RoutingEngine:
     def distances_for(self, architecture: Architecture) -> DistanceMatrix:
         """The shared distance matrix for an architecture."""
         return self.router_for(architecture).distances
-
-    def _dag_for(self, circuit: QuantumCircuit, circuit_key: Tuple):
-        """The shared dependency DAG for a circuit (bounded LRU).
-
-        Like the result cache, a stored DAG is only served after its
-        circuit's gate tuple is confirmed against the requesting circuit's
-        (identity first, full comparison on mismatch) — a content-hash
-        collision in ``circuit_key`` rebuilds instead of verifying the
-        routing against the wrong circuit's DAG.
-        """
-        from repro.circuit.dag import CircuitDAG
-
-        gates = circuit.gates
-        dag = self._dags.lookup(
-            circuit_key,
-            lambda dag: dag.circuit.gates is gates or dag.circuit.gates == gates,
-        )
-        if dag is None:
-            dag = CircuitDAG(circuit)
-            self._dags.put(circuit_key, dag)
-        return dag
 
     def route(
         self,
@@ -306,7 +281,7 @@ class RoutingEngine:
                 call with True on a counts-only entry recomputes (and
                 upgrades the entry).
         """
-        from repro.mapping.router import MappingResult, verify_routing
+        from repro.mapping.router import MappingResult, verify_trace
 
         # O(1) identity checks only — this guard runs on every route call,
         # including cache hits.
@@ -349,11 +324,12 @@ class RoutingEngine:
             )
         profile = profile or profile_circuit(circuit)
         mapping = initial_mapping(profile, architecture, router.distances)
-        dag = self._dag_for(circuit, circuit_key)
-        routed, num_swaps, final_mapping, used_initial = router.route_best(
-            circuit, mapping, dag=dag
-        )
-        verify_routing(circuit, routed, architecture, used_initial, dag=dag)
+        # The lowered IR is cached on the circuit (and shared by its
+        # copies), so every architecture a circuit is routed onto reuses
+        # one IR and one reversed IR.
+        ir = circuit.lowered()
+        trace, num_swaps, final_mapping, used_initial = router.trace_best(ir, mapping)
+        verify_trace(ir, trace, architecture, used_initial)
         _metrics.observe("routing/route", time.perf_counter() - compute_start)
         _metrics.increment("routing/routes")
         _metrics.increment("routing/swaps", num_swaps)
@@ -361,11 +337,14 @@ class RoutingEngine:
             circuit_name=circuit.name,
             architecture_name=architecture.name,
             original_gates=len(circuit),
-            original_two_qubit_gates=circuit.num_two_qubit_gates,
+            original_two_qubit_gates=ir.num_two_qubit,
             num_swaps=num_swaps,
             initial_mapping=dict(used_initial),
             final_mapping=dict(final_mapping),
-            routed_circuit=routed if keep_routed_circuit else None,
+            routed_circuit=(
+                router.routed_circuit(circuit, trace, used_initial)
+                if keep_routed_circuit else None
+            ),
         )
         self.cache.put(key, _CacheEntry(gates=gates, result=result))
         return _result_copy(result, keep_routed_circuit)

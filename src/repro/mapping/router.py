@@ -9,15 +9,15 @@ each inserted SWAP costs three CNOTs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.ir import CircuitIR
 from repro.hardware.architecture import Architecture
-from repro.mapping.sabre import SabreParameters
+from repro.mapping.sabre import SabreParameters, apply_swap
 from repro.profiling.profiler import CircuitProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.circuit.dag import CircuitDAG
     from repro.mapping.engine import RoutingEngine
 
 #: Number of CNOT gates required to implement one SWAP on hardware.
@@ -125,106 +125,181 @@ def route_circuit(
     )
 
 
-def verify_routing(
-    logical: QuantumCircuit,
-    routed: QuantumCircuit,
-    architecture: Architecture,
-    initial_mapping: Dict[int, int],
-    dag: Optional["CircuitDAG"] = None,
-) -> None:
-    """Check that a routed circuit is a faithful execution of the logical circuit.
+class _Replay:
+    """Replays routing steps against the logical circuit's DAG, checking each.
 
-    Verifications:
+    The one verifier behind :func:`verify_trace` and :func:`verify_routing`.
+    Steps are trace entries (see :class:`~repro.mapping.sabre.SabreRouter`),
+    and :meth:`run` checks that
 
     * every two-qubit gate (including inserted swaps) acts on a coupled
       physical pair;
-    * replaying the routed circuit while tracking swaps executes every
-      logical gate exactly once, on the correct logical operands, and never
-      violates the logical circuit's dependency order.
+    * every logical gate executes exactly once, only after every gate it
+      depends on, on the physical qubits that host its logical operands
+      at that step.
+    """
 
-    The router may execute gates on disjoint qubits in a different order
-    than the source circuit, so the replay checks against the dependency
-    DAG rather than the literal gate sequence.
+    def __init__(self, ir: CircuitIR, architecture: Architecture,
+                 initial_mapping: Dict[int, int]) -> None:
+        self.ir = ir
+        self.architecture = architecture
+        self.width = max(architecture.qubits) + 1
+        self.coupled: Set[Tuple[int, int]] = set()
+        for a, b in architecture.coupling_edges():
+            self.coupled.add((a, b))
+            self.coupled.add((b, a))
+        self.logical_to_physical = dict(initial_mapping)
+        self.physical_to_logical = {p: l for l, p in initial_mapping.items()}
+        # Unmet dependencies per gate; -1 marks a gate done, and barrier
+        # slots, which never execute, start done.
+        self.remaining = [
+            -1 if opcode == ir.barrier_opcode else count
+            for opcode, count in zip(ir.opcodes, ir.pred_count)
+        ]
 
-    The replay indexes the executable front by (gate name, logical
-    operands, params), so each routed gate is matched in O(1) instead of
-    rescanning the whole front layer — the full check is linear in the
-    routed gate count.  Pass a prebuilt ``dag`` of the logical circuit to
-    skip rebuilding it (the replay never mutates the DAG).
+    def ready(self, g: int) -> bool:
+        """True when logical gate ``g`` may execute now."""
+        return self.remaining[g] == 0
+
+    def run(self, steps: Iterable[int]) -> None:
+        """Replay ``steps`` in order, then require every gate to have executed."""
+        ir = self.ir
+        size = ir.size
+        two_qubit = ir.two_qubit
+        operand_a = ir.operand_a
+        operand_b = ir.operand_b
+        succ_ptr = ir.succ_ptr
+        succ = ir.succ
+        remaining = self.remaining
+        coupled = self.coupled
+        width = self.width
+        logical_to_physical = self.logical_to_physical
+        physical_to_logical = self.physical_to_logical
+        executed = 0
+        for step in steps:
+            if step >= 0:
+                if step >= size or remaining[step]:
+                    raise AssertionError(
+                        f"logical gate {step} executed twice, before a gate it depends "
+                        "on, or is no gate of the circuit"
+                    )
+                if two_qubit[step]:
+                    pair = (logical_to_physical[operand_a[step]],
+                            logical_to_physical[operand_b[step]])
+                    if pair not in coupled:
+                        raise AssertionError(
+                            f"logical gate {step} acts on uncoupled physical qubits "
+                            f"{pair} on architecture {self.architecture.name!r}"
+                        )
+                remaining[step] = -1
+                executed += 1
+                for s in succ[succ_ptr[step]:succ_ptr[step + 1]]:
+                    remaining[s] -= 1
+            else:
+                phys_a, phys_b = divmod(~step, width)
+                if (phys_a, phys_b) not in coupled:
+                    raise AssertionError(
+                        f"routing swap on uncoupled physical qubits {(phys_a, phys_b)} "
+                        f"on architecture {self.architecture.name!r}"
+                    )
+                apply_swap(phys_a, phys_b, logical_to_physical, physical_to_logical)
+        if executed != ir.num_nodes:
+            raise AssertionError(
+                f"routed circuit left {ir.num_nodes - executed} logical gates unexecuted"
+            )
+
+
+def verify_trace(
+    ir: CircuitIR,
+    trace: List[int],
+    architecture: Architecture,
+    initial_mapping: Dict[int, int],
+) -> None:
+    """Check that a routing trace (see :class:`~repro.mapping.sabre.SabreRouter`)
+    is a faithful execution of the lowered logical circuit ``ir``.
+
+    Linear in the trace length; the routing engine runs it on every route.
 
     Raises:
         AssertionError: When any check fails (this guards the evaluation
             pipeline against router bugs rather than user input errors).
     """
-    from repro.circuit.dag import CircuitDAG, DAGNode, ExecutionFrontier
+    _Replay(ir, architecture, initial_mapping).run(trace)
 
-    coupled = set()
-    for a, b in architecture.coupling_edges():
-        coupled.add((a, b))
-        coupled.add((b, a))
 
-    physical_to_logical = {p: l for l, p in initial_mapping.items()}
-    frontier = ExecutionFrontier(dag if dag is not None else CircuitDAG(logical))
-    # Two front gates can never share (name, operands, params): identical
-    # operands imply a dependency chain, so each bucket holds at most one
-    # live node and popping the sole entry matches the gate deterministically.
-    front_index: Dict[Tuple, List[int]] = {}
+def verify_routing(
+    logical: QuantumCircuit,
+    routed: QuantumCircuit,
+    architecture: Architecture,
+    initial_mapping: Dict[int, int],
+) -> None:
+    """Check that a routed circuit is a faithful execution of the logical circuit.
 
-    def index_node(node: DAGNode) -> None:
-        key = (node.gate.name, node.gate.qubits, node.gate.params)
-        front_index.setdefault(key, []).append(node.index)
+    Each routed gate is matched to a logical gate by (name, logical
+    operands, params), the logical operands recovered through the mapping
+    as replayed so far, and the match is replayed with the checks of
+    :func:`verify_trace`.  The router may execute gates on disjoint qubits
+    in a different order than the source circuit, so the replay checks
+    against the dependency DAG rather than the literal gate sequence.
 
-    for node in frontier.front_nodes():
-        index_node(node)
+    Raises:
+        AssertionError: When any check fails.
+    """
+    replay = _Replay(logical.lowered(), architecture, initial_mapping)
+    replay.run(_matched_steps(logical, routed, replay))
 
-    get_logical = physical_to_logical.get
-    get_bucket = front_index.get
-    execute = frontier.execute
+
+def _matched_steps(
+    logical: QuantumCircuit, routed: QuantumCircuit, replay: _Replay,
+) -> Iterator[int]:
+    """The trace steps a routed circuit spells, matched against live replay state.
+
+    Logical gates sharing a match key share their operands, so they form
+    a dependency chain and only the earliest unexecuted one can be
+    executable: the match is always that one, found in O(1), so the whole
+    check is linear in the routed gate count.
+    """
+    # Per match key, the logical gates in reverse circuit order (next match last).
+    pending: Dict[Tuple, List[int]] = {}
+    for g, gate in enumerate(logical.gates):
+        if gate.name != "barrier":
+            pending.setdefault((gate.name, gate.qubits, gate.params), []).append(g)
+    for bucket in pending.values():
+        bucket.reverse()
+    physical_to_logical = replay.physical_to_logical
+    width = replay.width
     for gate in routed.gates:
-        if gate.is_two_qubit and tuple(gate.qubits) not in coupled:
-            raise AssertionError(
-                f"routed gate {gate} acts on uncoupled physical qubits "
-                f"on architecture {architecture.name!r}"
-            )
         if gate.name == "swap":
-            phys_a, phys_b = gate.qubits
-            logical_a = get_logical(phys_a)
-            logical_b = get_logical(phys_b)
             # A swap can be a gate of the *program* rather than a router
             # insertion.  Try the logical interpretation first; this is
             # unambiguous for router output, because an executable logical
             # swap in the front would have been executed before the router
             # ever inserted a swap of its own on that coupled pair.
+            phys_a, phys_b = gate.qubits
+            logical_a = physical_to_logical.get(phys_a)
+            logical_b = physical_to_logical.get(phys_b)
             if logical_a is not None and logical_b is not None:
-                bucket = get_bucket(("swap", (logical_a, logical_b), gate.params))
-                if bucket:
-                    for unblocked in execute(bucket.pop(0)):
-                        index_node(unblocked)
+                bucket = pending.get(("swap", (logical_a, logical_b), gate.params))
+                if bucket and replay.ready(bucket[-1]):
+                    yield bucket.pop()
                     continue
-            if logical_a is not None:
-                physical_to_logical[phys_b] = logical_a
-            else:
-                physical_to_logical.pop(phys_b, None)
-            if logical_b is not None:
-                physical_to_logical[phys_a] = logical_b
-            else:
-                physical_to_logical.pop(phys_a, None)
+            if (phys_a, phys_b) not in replay.coupled:  # also keeps the encoding exact
+                raise AssertionError(
+                    f"routed gate {gate} acts on uncoupled physical qubits "
+                    f"on architecture {replay.architecture.name!r}"
+                )
+            yield ~(phys_a * width + phys_b)
             continue
         try:
-            recovered_operands = tuple([physical_to_logical[q] for q in gate.qubits])
+            operands = tuple([physical_to_logical[q] for q in gate.qubits])
         except KeyError:
             raise AssertionError(
                 f"routed gate {gate} acts on a physical qubit hosting no logical qubit"
             ) from None
-        bucket = get_bucket((gate.name, recovered_operands, gate.params))
-        if not bucket:
+        bucket = pending.get((gate.name, operands, gate.params))
+        if not bucket or not replay.ready(bucket[-1]):
             raise AssertionError(
-                f"routed gate {gate} (logical operands {recovered_operands}) does not match "
+                f"routed gate {gate} (logical operands {operands}) does not match "
                 "any executable logical gate"
             )
-        for unblocked in execute(bucket.pop(0)):
-            index_node(unblocked)
-    if frontier.remaining:
-        raise AssertionError(
-            f"routed circuit left {frontier.remaining} logical gates unexecuted"
-        )
+        yield bucket.pop()

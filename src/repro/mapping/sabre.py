@@ -34,19 +34,25 @@ Two refinements from the original SABRE work sit behind
 * **seeded restarts** — best-of-k over deterministically perturbed
   initial mappings.
 
+Routing runs on the circuit's lowered integer IR
+(:class:`~repro.circuit.ir.CircuitIR`): the front layer, the look-ahead
+walk and gate execution are integer-array operations, and a pass records
+an integer *trace* of executed gate indices and inserted swaps rather
+than gate objects.  :meth:`SabreRouter.routed_circuit` builds the
+physical circuit from a trace when a caller asks for one.
+
 The output records the number of inserted SWAPs; the paper's performance
 metric (total post-mapping gate count) charges three CNOTs per SWAP.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.dag import CircuitDAG, DAGNode, ExecutionFrontier
 from repro.circuit.gates import Gate
+from repro.circuit.ir import CircuitIR, lookahead
 from repro.hardware.architecture import Architecture
 from repro.mapping.distance import DistanceMatrix
 from repro.utils.rng import deterministic_rng
@@ -123,6 +129,13 @@ class SabreRouter:
     :class:`~repro.mapping.engine.RoutingEngine` keeps one per distinct
     architecture.
 
+    Routing runs on the circuit's lowered :class:`~repro.circuit.ir.CircuitIR`
+    and records a *trace*, a flat list of ints: ``g >= 0`` executes logical
+    gate ``g``, and ``~(a * width + b)`` (always negative) swaps physical
+    qubits ``a`` and ``b``, where ``width`` is :attr:`width`.  Gate objects
+    are built from a trace only when a caller asks for a routed circuit
+    (:meth:`routed_circuit`).
+
     Args:
         architecture: Target hardware architecture.
         parameters: Optional tuning parameters.
@@ -136,33 +149,42 @@ class SabreRouter:
         self.architecture = architecture
         self.parameters = parameters or SabreParameters()
         self.distances = DistanceMatrix(architecture)
+        #: Register size of routed circuits (largest physical index + 1);
+        #: also the radix of swap entries in routing traces.
+        self.width = max(architecture.qubits) + 1
         # Distance rows as plain nested lists: the scoring loops index a
         # handful of scalar entries per candidate, where list indexing beats
         # numpy scalar indexing by a wide margin.
         self._dist_rows: List[List[float]] = self.distances.array.tolist()
-        self._coupled: set = set()
-        for a, b in architecture.coupling_edges():
-            self._coupled.add((a, b))
-            self._coupled.add((b, a))
-        # Candidate-edge tables, in distance-matrix index space.
-        # coupling_edges() is sorted (a, b) with a < b, which fixes the
-        # deterministic tie-break order of equal-score candidates.
+        # Everything below lives in distance-matrix index space; _qubits
+        # maps an index back to its physical qubit.
         index_of = self.distances.index_of
+        self._qubits: List[int] = self.distances.qubits
+        num_positions = len(self._qubits)
+        # Candidate-edge tables.  coupling_edges() is sorted (a, b) with
+        # a < b, which fixes the deterministic tie-break order of
+        # equal-score candidates.
         self._edges: List[Tuple[int, int]] = architecture.coupling_edges()
         self._edge_a: List[int] = [index_of(a) for a, _ in self._edges]
         self._edge_b: List[int] = [index_of(b) for _, b in self._edges]
-        self._edges_at: Dict[int, List[int]] = {index_of(q): [] for q in architecture.qubits}
-        for edge_index in range(len(self._edges)):
-            self._edges_at[self._edge_a[edge_index]].append(edge_index)
-            self._edges_at[self._edge_b[edge_index]].append(edge_index)
+        self._edges_at: Dict[int, List[int]] = {i: [] for i in range(num_positions)}
+        self._neighbors: List[List[int]] = [[] for _ in range(num_positions)]
+        self._adjacent: List[bytearray] = [bytearray(num_positions) for _ in range(num_positions)]
+        for edge_index, (index_a, index_b) in enumerate(zip(self._edge_a, self._edge_b)):
+            self._edges_at[index_a].append(edge_index)
+            self._edges_at[index_b].append(edge_index)
+            self._neighbors[index_a].append(index_b)
+            self._neighbors[index_b].append(index_a)
+            self._adjacent[index_a][index_b] = self._adjacent[index_b][index_a] = 1
+        stall_threshold = self.parameters.stall_threshold
+        if stall_threshold is None:
+            stall_threshold = int(3 * self.distances.diameter()) + 8
+        self._stall_threshold = stall_threshold
 
     # -- public API ------------------------------------------------------------
 
     def route(
-        self,
-        circuit: QuantumCircuit,
-        initial_mapping: Dict[int, int],
-        dag: Optional[CircuitDAG] = None,
+        self, circuit: QuantumCircuit, initial_mapping: Dict[int, int],
     ) -> Tuple[QuantumCircuit, int, Dict[int, int]]:
         """Route ``circuit`` starting from ``initial_mapping`` (one forward pass).
 
@@ -170,145 +192,32 @@ class SabreRouter:
             circuit: Logical circuit (CNOT + single-qubit basis).
             initial_mapping: logical qubit -> physical qubit; must be injective
                 and cover every logical qubit of the circuit.
-            dag: Optional prebuilt dependency DAG of ``circuit`` (routing
-                never mutates it, so one DAG serves any number of passes).
 
         Returns:
             ``(physical_circuit, num_swaps, final_mapping)`` where
             ``physical_circuit`` contains the original gates rewritten onto
             physical qubit indices with explicit ``swap`` gates inserted.
         """
-        self._validate_mapping(circuit, initial_mapping)
-        frontier = ExecutionFrontier(dag if dag is not None else CircuitDAG(circuit))
-        logical_to_physical = dict(initial_mapping)
-        physical_to_logical = {p: l for l, p in logical_to_physical.items()}
-        index_of = self.distances.index_of
-        # positions[l] = distance-matrix index of the physical qubit hosting
-        # logical l; kept in lockstep with logical_to_physical.  The mapping
-        # may carry extra logical keys beyond the circuit's register (they
-        # pin physical qubits but never appear in a gate), so only circuit
-        # logicals are tracked.
-        positions: List[int] = [0] * circuit.num_qubits
-        for logical, physical in logical_to_physical.items():
-            if logical < circuit.num_qubits:
-                positions[logical] = index_of(physical)
-
-        max_physical = max(self.architecture.qubits) + 1
-        routed = QuantumCircuit(max_physical, name=f"{circuit.name}@{self.architecture.name}")
-        num_swaps = 0
-        swap_budget = self.parameters.max_swaps_per_gate * max(1, circuit.num_two_qubit_gates)
-        num_positions = len(self._dist_rows)
-        decay: List[float] = [1.0] * num_positions
-        decay_factor = self.parameters.decay_factor
-        swaps_since_reset = 0
-        swaps_since_progress = 0
-        stall_threshold = self.parameters.stall_threshold
-        if stall_threshold is None:
-            stall_threshold = int(3 * self.distances.diameter()) + 8
-
-        # Execute everything executable up front; from here on, gates only
-        # become executable as a consequence of swaps.
-        self._execute_ready_gates(frontier, logical_to_physical, routed)
-
-        dist_rows = self._dist_rows
-        while not frontier.done:
-            # The blocked front and the extended look-ahead set only change
-            # when gates execute, not when swaps are applied, so the slot
-            # tables are rebuilt once per execution event rather than per
-            # swap decision.
-            blocked = [node for node in frontier.front_nodes() if node.two_qubit]
-            if not blocked:
-                # Only non-two-qubit gates remain but none executed: impossible,
-                # since those are always executable.
-                raise RuntimeError("router stalled with no blocked two-qubit gates")
-            extended = frontier.lookahead_nodes(self.parameters.extended_set_size)
-
-            # Slot tables: per pending gate (front first, then extended), the
-            # distance-matrix indices its operands currently occupy, the base
-            # front/extended cost sums, and a reverse index position -> slots.
-            num_front = len(blocked)
-            slot_a: List[int] = []
-            slot_b: List[int] = []
-            for node in blocked:
-                qubit_a, qubit_b = node.gate.qubits
-                slot_a.append(positions[qubit_a])
-                slot_b.append(positions[qubit_b])
-            for node in extended:
-                qubit_a, qubit_b = node.gate.qubits
-                slot_a.append(positions[qubit_a])
-                slot_b.append(positions[qubit_b])
-            base_front = 0.0
-            for slot in range(num_front):
-                base_front += dist_rows[slot_a[slot]][slot_b[slot]]
-            base_extended = 0.0
-            for slot in range(num_front, len(slot_a)):
-                base_extended += dist_rows[slot_a[slot]][slot_b[slot]]
-            slots_of: Dict[int, List[int]] = {}
-            for slot in range(len(slot_a)):
-                slots_of.setdefault(slot_a[slot], []).append(slot)
-                slots_of.setdefault(slot_b[slot], []).append(slot)
-
-            blocked_on: Dict[int, List[DAGNode]] = {}
-            for node in blocked:
-                for logical in node.gate.qubits:
-                    blocked_on.setdefault(logical, []).append(node)
-
-            while True:
-                if swaps_since_progress >= stall_threshold:
-                    # The heuristic is livelocking; force progress by walking
-                    # the first blocked gate's operands together along a
-                    # shortest path (making that gate executable).
-                    num_swaps += self._force_route(
-                        blocked[0], logical_to_physical, physical_to_logical, routed, positions
-                    )
-                    swaps_since_progress = 0
-                    break
-
-                chosen = self._choose_swap(
-                    num_front, slot_a, slot_b, slots_of, base_front, base_extended, decay
-                )
-                if chosen is None:
-                    raise RuntimeError(
-                        f"no useful SWAP found; architecture {self.architecture.name!r} "
-                        "may have a disconnected coupling graph"
-                    )
-                swap, swapped_a, swapped_b = chosen
-                base_front, base_extended = self._shift_slots(
-                    swapped_a, swapped_b, num_front, slot_a, slot_b, slots_of,
-                    base_front, base_extended,
-                )
-                self._apply_swap(swap, logical_to_physical, physical_to_logical, routed, positions)
-                num_swaps += 1
-                swaps_since_reset += 1
-                swaps_since_progress += 1
-                decay[swapped_a] += decay_factor
-                decay[swapped_b] += decay_factor
-                if swaps_since_reset >= self.parameters.decay_reset_interval:
-                    decay = [1.0] * num_positions
-                    swaps_since_reset = 0
-                if num_swaps > swap_budget:
-                    raise RuntimeError(
-                        f"router exceeded swap budget ({swap_budget}); "
-                        "the architecture is likely not routable"
-                    )
-                # Only blocked gates holding a logical qubit the swap moved can
-                # have become executable; checking those few gates avoids a
-                # full front rescan per swap.
-                if self._swap_unblocked(swap, blocked_on, logical_to_physical,
-                                        physical_to_logical):
-                    swaps_since_progress = 0
-                    break
-
-            self._execute_ready_gates(frontier, logical_to_physical, routed)
-
-        return routed, num_swaps, logical_to_physical
+        self._validate_mapping(circuit.num_qubits, initial_mapping)
+        trace, num_swaps, final_mapping = self._route_pass(circuit.lowered(), initial_mapping)
+        return self.routed_circuit(circuit, trace, initial_mapping), num_swaps, final_mapping
 
     def route_best(
-        self,
-        circuit: QuantumCircuit,
-        initial_mapping: Dict[int, int],
-        dag: Optional[CircuitDAG] = None,
+        self, circuit: QuantumCircuit, initial_mapping: Dict[int, int],
     ) -> Tuple[QuantumCircuit, int, Dict[int, int], Dict[int, int]]:
+        """:meth:`trace_best` with the winning trace built into a routed circuit.
+
+        Returns:
+            ``(physical_circuit, num_swaps, final_mapping, used_initial_mapping)``.
+        """
+        trace, num_swaps, final_mapping, used = self.trace_best(
+            circuit.lowered(), initial_mapping
+        )
+        return self.routed_circuit(circuit, trace, used), num_swaps, final_mapping, used
+
+    def trace_best(
+        self, ir: CircuitIR, initial_mapping: Dict[int, int],
+    ) -> Tuple[List[int], int, Dict[int, int], Dict[int, int]]:
         """Best routing over bidirectional passes and seeded restarts.
 
         Runs ``parameters.restarts`` restart chains; each chain routes
@@ -318,25 +227,18 @@ class SabreRouter:
         original circuit; the candidate with the fewest swaps wins, with
         ties resolved toward the earliest (restart, pass) so that the
         default ``passes=1, restarts=1`` reproduces :meth:`route` exactly.
+        Reverse passes run on ``ir.reversed()`` and keep only their final
+        mapping.
 
         Returns:
-            ``(physical_circuit, num_swaps, final_mapping, used_initial_mapping)``
+            ``(trace, num_swaps, final_mapping, used_initial_mapping)``
             where ``used_initial_mapping`` is the initial mapping of the
-            winning forward pass (replaying the routed circuit from it
-            reproduces the logical circuit).
+            winning forward pass (replaying the trace from it reproduces
+            the logical circuit).
         """
-        self._validate_mapping(circuit, initial_mapping)
+        self._validate_mapping(ir.num_qubits, initial_mapping)
         params = self.parameters
-        if dag is None:
-            dag = CircuitDAG(circuit)
-        reversed_circuit: Optional[QuantumCircuit] = None
-        reversed_dag: Optional[CircuitDAG] = None
-        if params.passes > 1:
-            reversed_circuit = QuantumCircuit(circuit.num_qubits, name=f"{circuit.name}~reversed")
-            reversed_circuit.extend(reversed(circuit.gates))
-            reversed_dag = CircuitDAG(reversed_circuit)
-
-        best: Optional[Tuple[QuantumCircuit, int, Dict[int, int], Dict[int, int]]] = None
+        best: Optional[Tuple[List[int], int, Dict[int, int], Dict[int, int]]] = None
         for restart in range(params.restarts):
             mapping = (
                 dict(initial_mapping)
@@ -345,15 +247,38 @@ class SabreRouter:
             )
             for pass_index in range(params.passes):
                 forward = pass_index % 2 == 0
-                source = circuit if forward else reversed_circuit
-                routed, num_swaps, final_mapping = self.route(
-                    source, mapping, dag=dag if forward else reversed_dag
+                trace, num_swaps, final_mapping = self._route_pass(
+                    ir if forward else ir.reversed(), mapping
                 )
                 if forward and (best is None or num_swaps < best[1]):
-                    best = (routed, num_swaps, dict(final_mapping), dict(mapping))
+                    best = (trace, num_swaps, final_mapping, mapping)
                 mapping = final_mapping
         assert best is not None  # params.passes >= 1 guarantees a forward pass
         return best
+
+    def routed_circuit(
+        self, circuit: QuantumCircuit, trace: List[int], initial_mapping: Dict[int, int],
+    ) -> QuantumCircuit:
+        """The physical circuit a trace of ``circuit`` describes (the API edge).
+
+        Replays ``trace`` from ``initial_mapping``: each executed gate is
+        the logical gate rewritten onto the physical qubits hosting its
+        operands at that step, and each swap entry becomes a ``swap`` gate.
+        """
+        width = self.width
+        routed = QuantumCircuit(width, name=f"{circuit.name}@{self.architecture.name}")
+        logical_to_physical = dict(initial_mapping)
+        physical_to_logical = {p: l for l, p in logical_to_physical.items()}
+        gates = circuit.gates
+        append = routed.append_unchecked
+        for step in trace:
+            if step >= 0:
+                append(gates[step].remap(logical_to_physical))
+            else:
+                phys_a, phys_b = divmod(~step, width)
+                append(Gate("swap", (phys_a, phys_b)))
+                apply_swap(phys_a, phys_b, logical_to_physical, physical_to_logical)
+        return routed
 
     def _perturbed_mapping(self, initial_mapping: Dict[int, int], restart: int) -> Dict[int, int]:
         """A deterministic perturbation of ``initial_mapping`` for restart > 0.
@@ -371,60 +296,14 @@ class SabreRouter:
         physical_to_logical = {p: l for l, p in mapping.items()}
         for _ in range(1 + restart):
             phys_a, phys_b = (int(qubits[i]) for i in rng.choice(len(qubits), 2, replace=False))
-            logical_a = physical_to_logical.get(phys_a)
-            logical_b = physical_to_logical.get(phys_b)
-            if logical_a is not None:
-                mapping[logical_a] = phys_b
-                physical_to_logical[phys_b] = logical_a
-            else:
-                physical_to_logical.pop(phys_b, None)
-            if logical_b is not None:
-                mapping[logical_b] = phys_a
-                physical_to_logical[phys_a] = logical_b
-            else:
-                physical_to_logical.pop(phys_a, None)
+            apply_swap(phys_a, phys_b, mapping, physical_to_logical)
         return mapping
-
-    def _force_route(
-        self,
-        node: DAGNode,
-        logical_to_physical: Dict[int, int],
-        physical_to_logical: Dict[int, int],
-        routed: QuantumCircuit,
-        positions: Optional[List[int]] = None,
-    ) -> int:
-        """Move the operands of ``node`` adjacent via greedy shortest-path swaps.
-
-        Used only as a livelock escape hatch; returns the number of swaps applied.
-        """
-        logical_a, logical_b = node.gate.qubits
-        applied = 0
-        while True:
-            phys_a = logical_to_physical[logical_a]
-            phys_b = logical_to_physical[logical_b]
-            current = self.distances.distance(phys_a, phys_b)
-            if current <= 1:
-                return applied
-            step = min(
-                (n for n in self.architecture.neighbors(phys_a)
-                 if self.distances.distance(n, phys_b) < current),
-                default=None,
-            )
-            if step is None:
-                raise RuntimeError(
-                    "cannot route gate: coupling graph is disconnected between "
-                    f"physical qubits {phys_a} and {phys_b}"
-                )
-            self._apply_swap(
-                (phys_a, step), logical_to_physical, physical_to_logical, routed, positions
-            )
-            applied += 1
 
     # -- internals ----------------------------------------------------------------
 
-    def _validate_mapping(self, circuit: QuantumCircuit, mapping: Dict[int, int]) -> None:
+    def _validate_mapping(self, num_qubits: int, mapping: Dict[int, int]) -> None:
         physical = set(self.architecture.qubits)
-        for logical in range(circuit.num_qubits):
+        for logical in range(num_qubits):
             if logical not in mapping:
                 raise ValueError(f"initial mapping misses logical qubit {logical}")
         # Injectivity and target validity must hold across the WHOLE mapping,
@@ -440,51 +319,192 @@ class SabreRouter:
         if len(set(targets)) != len(targets):
             raise ValueError("initial mapping maps two logical qubits to the same physical qubit")
 
-    def _execute_ready_gates(
-        self,
-        frontier: ExecutionFrontier,
-        logical_to_physical: Dict[int, int],
-        routed: QuantumCircuit,
-    ) -> bool:
-        """Execute every currently executable gate; return True if any executed.
+    def _route_pass(
+        self, ir: CircuitIR, initial_mapping: Dict[int, int],
+    ) -> Tuple[List[int], int, Dict[int, int]]:
+        """One forward pass over ``ir``: ``(trace, num_swaps, final_mapping)``.
 
-        Executing a gate never changes the mapping, so one pass over the
-        front plus the transitively unblocked nodes reaches closure — no
-        rescan of already-rejected front gates is needed.
+        The mapping may carry extra logical keys beyond the circuit's
+        register: they pin physical qubits and move with swaps, but never
+        appear in a gate.
         """
-        executed_any = False
-        queue = deque(frontier.front_nodes())
-        append = routed.append_unchecked
-        while queue:
-            node = queue.popleft()
-            if self._is_executable(node, logical_to_physical):
-                append(node.gate.remap(logical_to_physical))
-                queue.extend(frontier.execute(node.index))
-                executed_any = True
-        return executed_any
+        params = self.parameters
+        qubits = self._qubits
+        width = self.width
+        adjacent = self._adjacent
+        dist_rows = self._dist_rows
+        index_of = self.distances.index_of
+        # occupant[i]: the logical hosted at index i (None when free);
+        # position[l]: the index hosting circuit logical l.
+        occupant: List[Optional[int]] = [None] * len(qubits)
+        for logical, physical in initial_mapping.items():
+            occupant[index_of(physical)] = logical
+        num_logical = ir.num_qubits
+        position = [0] * num_logical
+        for index, logical in enumerate(occupant):
+            if logical is not None and logical < num_logical:
+                position[logical] = index
 
-    def _is_executable(self, node: DAGNode, logical_to_physical: Dict[int, int]) -> bool:
-        if not node.two_qubit:
-            return True
-        a, b = node.gate.qubits
-        return (logical_to_physical[a], logical_to_physical[b]) in self._coupled
+        operand_a = ir.operand_a
+        operand_b = ir.operand_b
+        two_qubit = ir.two_qubit
+        succ_ptr = ir.succ_ptr
+        succ = ir.succ
+        remaining = list(ir.pred_count)
+        trace: List[int] = []
+        record = trace.append
 
-    def _swap_unblocked(
-        self,
-        swap: Tuple[int, int],
-        blocked_on: Dict[int, List[DAGNode]],
-        logical_to_physical: Dict[int, int],
-        physical_to_logical: Dict[int, int],
-    ) -> bool:
-        """True when the just-applied ``swap`` made any blocked gate executable."""
-        for physical in swap:
-            logical = physical_to_logical.get(physical)
-            if logical is None:
-                continue
-            for node in blocked_on.get(logical, ()):
-                if self._is_executable(node, logical_to_physical):
-                    return True
-        return False
+        def execute_ready(queue: List[int]) -> List[int]:
+            """Execute every executable gate reachable from ``queue``; return
+            the blocked rest (the new front), ascending.
+
+            Executing a gate never changes the mapping, so one walk over the
+            front plus the transitively unblocked gates reaches closure, and
+            only two-qubit gates can be left blocked.
+            """
+            blocked = []
+            for g in queue:  # the list grows while it is walked: a FIFO queue
+                if two_qubit[g] and not adjacent[position[operand_a[g]]][position[operand_b[g]]]:
+                    blocked.append(g)
+                    continue
+                record(g)
+                for s in succ[succ_ptr[g]:succ_ptr[g + 1]]:
+                    left = remaining[s] - 1
+                    remaining[s] = left
+                    if not left:
+                        queue.append(s)
+            blocked.sort()
+            return blocked
+
+        def swap(index_a: int, index_b: int) -> None:
+            logical_a = occupant[index_a]
+            logical_b = occupant[index_b]
+            occupant[index_a] = logical_b
+            occupant[index_b] = logical_a
+            if logical_a is not None and logical_a < num_logical:
+                position[logical_a] = index_b
+            if logical_b is not None and logical_b < num_logical:
+                position[logical_b] = index_a
+            record(~(qubits[index_a] * width + qubits[index_b]))
+
+        num_swaps = 0
+        swap_budget = params.max_swaps_per_gate * max(1, ir.num_two_qubit)
+        num_positions = len(dist_rows)
+        decay: List[float] = [1.0] * num_positions
+        decay_factor = params.decay_factor
+        swaps_since_reset = 0
+        swaps_since_progress = 0
+        stall_threshold = self._stall_threshold
+
+        # Execute everything executable up front; from here on, gates only
+        # become executable as a consequence of swaps.
+        blocked = execute_ready(list(ir.front))
+
+        while blocked:
+            # The blocked front and the extended look-ahead set only change
+            # when gates execute, not when swaps are applied, so the slot
+            # tables are rebuilt once per execution event rather than per
+            # swap decision.
+            extended = lookahead(ir, blocked, params.extended_set_size)
+
+            # Slot tables: per pending gate (front first, then extended), the
+            # distance-matrix indices its operands currently occupy, the base
+            # front/extended cost sums, and a reverse index position -> slots.
+            num_front = len(blocked)
+            slot_a = [position[operand_a[g]] for g in blocked]
+            slot_b = [position[operand_b[g]] for g in blocked]
+            slot_a += [position[operand_a[g]] for g in extended]
+            slot_b += [position[operand_b[g]] for g in extended]
+            base_front = 0.0
+            for slot in range(num_front):
+                base_front += dist_rows[slot_a[slot]][slot_b[slot]]
+            base_extended = 0.0
+            for slot in range(num_front, len(slot_a)):
+                base_extended += dist_rows[slot_a[slot]][slot_b[slot]]
+            slots_of: Dict[int, List[int]] = {}
+            for slot in range(len(slot_a)):
+                slots_of.setdefault(slot_a[slot], []).append(slot)
+                slots_of.setdefault(slot_b[slot], []).append(slot)
+
+            blocked_on: Dict[int, List[int]] = {}
+            for g in blocked:
+                blocked_on.setdefault(operand_a[g], []).append(g)
+                blocked_on.setdefault(operand_b[g], []).append(g)
+
+            while True:
+                if swaps_since_progress >= stall_threshold:
+                    # The heuristic is livelocking; force progress by walking
+                    # the first blocked gate's operands together along a
+                    # shortest path (making that gate executable).
+                    logical_a = operand_a[blocked[0]]
+                    logical_b = operand_b[blocked[0]]
+                    while True:
+                        index_a = position[logical_a]
+                        index_b = position[logical_b]
+                        current = dist_rows[index_a][index_b]
+                        if current <= 1:
+                            break
+                        step = min(
+                            (n for n in self._neighbors[index_a] if dist_rows[n][index_b] < current),
+                            key=qubits.__getitem__, default=None,
+                        )
+                        if step is None:
+                            raise RuntimeError(
+                                "cannot route gate: coupling graph is disconnected between "
+                                f"physical qubits {qubits[index_a]} and {qubits[index_b]}"
+                            )
+                        swap(index_a, step)
+                        num_swaps += 1
+                    swaps_since_progress = 0
+                    break
+
+                chosen = self._choose_swap(
+                    num_front, slot_a, slot_b, slots_of, base_front, base_extended, decay
+                )
+                if chosen is None:
+                    raise RuntimeError(
+                        f"no useful SWAP found; architecture {self.architecture.name!r} "
+                        "may have a disconnected coupling graph"
+                    )
+                swapped_a, swapped_b = chosen
+                base_front, base_extended = self._shift_slots(
+                    swapped_a, swapped_b, num_front, slot_a, slot_b, slots_of,
+                    base_front, base_extended,
+                )
+                swap(swapped_a, swapped_b)
+                num_swaps += 1
+                swaps_since_reset += 1
+                swaps_since_progress += 1
+                decay[swapped_a] += decay_factor
+                decay[swapped_b] += decay_factor
+                if swaps_since_reset >= params.decay_reset_interval:
+                    decay = [1.0] * num_positions
+                    swaps_since_reset = 0
+                if num_swaps > swap_budget:
+                    raise RuntimeError(
+                        f"router exceeded swap budget ({swap_budget}); "
+                        "the architecture is likely not routable"
+                    )
+                # Only blocked gates holding a logical qubit the swap moved can
+                # have become executable; checking those few gates avoids a
+                # full front rescan per swap.
+                unblocked = False
+                for index in (swapped_a, swapped_b):
+                    logical = occupant[index]
+                    if logical is None:
+                        continue
+                    for g in blocked_on.get(logical, ()):
+                        if adjacent[position[operand_a[g]]][position[operand_b[g]]]:
+                            unblocked = True
+                if unblocked:
+                    swaps_since_progress = 0
+                    break
+
+            blocked = execute_ready(blocked)
+
+        where = {logical: index for index, logical in enumerate(occupant) if logical is not None}
+        final_mapping = {logical: qubits[where[logical]] for logical in initial_mapping}
+        return trace, num_swaps, final_mapping
 
     def _choose_swap(
         self,
@@ -495,7 +515,7 @@ class SabreRouter:
         base_front: float,
         base_extended: float,
         decay: List[float],
-    ) -> Optional[Tuple[Tuple[int, int], int, int]]:
+    ) -> Optional[Tuple[int, int]]:
         """The candidate SWAP minimizing the look-ahead distance cost.
 
         Incremental delta scoring: a candidate swap of positions (ia, ib)
@@ -506,7 +526,7 @@ class SabreRouter:
         ``base + delta`` equals the full recomputation bit-for-bit and the
         deterministic (score, swap-pair) tie-break is preserved.
 
-        Returns ``(swap pair, index of a, index of b)``, or None when no
+        Returns the swap's two distance-matrix indices, or None when no
         coupling edge touches the front layer.
         """
         involved = set(slot_a[:num_front])
@@ -570,10 +590,10 @@ class SabreRouter:
             key = (score, edges[edge_index])
             if best_key is None or key < best_key:
                 best_key = key
-                best = (edges[edge_index], index_a, index_b)
+                best = (index_a, index_b)
             if delta_front < 0.0 and (best_improving_key is None or key < best_improving_key):
                 best_improving_key = key
-                best_improving = (edges[edge_index], index_a, index_b)
+                best_improving = (index_a, index_b)
 
         # Swaps that do not reduce the front-layer cost at all only stay in
         # the running when no candidate reduces it (they can still win on
@@ -619,31 +639,18 @@ class SabreRouter:
             slots_of[index_b] = bucket_a
         return base_front, base_extended
 
-    def _apply_swap(
-        self,
-        swap: Tuple[int, int],
-        logical_to_physical: Dict[int, int],
-        physical_to_logical: Dict[int, int],
-        routed: QuantumCircuit,
-        positions: Optional[List[int]] = None,
-    ) -> None:
-        phys_a, phys_b = swap
-        logical_a = physical_to_logical.get(phys_a)
-        logical_b = physical_to_logical.get(phys_b)
-        routed.append_unchecked(Gate("swap", (phys_a, phys_b)))
-        if logical_a is not None:
-            logical_to_physical[logical_a] = phys_b
-            if positions is not None and logical_a < len(positions):
-                positions[logical_a] = self.distances.index_of(phys_b)
-        if logical_b is not None:
-            logical_to_physical[logical_b] = phys_a
-            if positions is not None and logical_b < len(positions):
-                positions[logical_b] = self.distances.index_of(phys_a)
-        if logical_a is not None:
-            physical_to_logical[phys_b] = logical_a
-        else:
-            physical_to_logical.pop(phys_b, None)
-        if logical_b is not None:
-            physical_to_logical[phys_a] = logical_b
-        else:
-            physical_to_logical.pop(phys_a, None)
+
+
+def apply_swap(
+    phys_a: int, phys_b: int,
+    logical_to_physical: Dict[int, int], physical_to_logical: Dict[int, int],
+) -> None:
+    """Exchange the logical qubits (if any) hosted on two physical qubits, in place."""
+    logical_a = physical_to_logical.pop(phys_a, None)
+    logical_b = physical_to_logical.pop(phys_b, None)
+    if logical_a is not None:
+        logical_to_physical[logical_a] = phys_b
+        physical_to_logical[phys_b] = logical_a
+    if logical_b is not None:
+        logical_to_physical[logical_b] = phys_a
+        physical_to_logical[phys_a] = logical_b

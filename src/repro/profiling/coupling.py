@@ -22,16 +22,15 @@ def coupling_strength_matrix(circuit: QuantumCircuit) -> np.ndarray:
 
     Entry ``(i, j)`` is the number of two-qubit gate instances acting on
     logical qubits ``i`` and ``j`` (regardless of which is the control).
-    The diagonal is zero.
+    The diagonal is zero.  Counted from the circuit's lowered IR.
     """
-    n = circuit.num_qubits
-    matrix = np.zeros((n, n), dtype=np.int64)
-    for gate in circuit.gates:
-        if gate.is_two_qubit:
-            a, b = gate.qubits
-            matrix[a, b] += 1
-            matrix[b, a] += 1
-    return matrix
+    ir = circuit.lowered()
+    n = ir.num_qubits
+    mask = np.frombuffer(ir.two_qubit, dtype=np.uint8).astype(bool)
+    first = np.asarray(ir.operand_a, dtype=np.int64)[mask]
+    second = np.asarray(ir.operand_b, dtype=np.int64)[mask]
+    counts = np.bincount(first * n + second, minlength=n * n).reshape(n, n)
+    return (counts + counts.T).astype(np.int64)
 
 
 def coupling_degrees(circuit: QuantumCircuit) -> np.ndarray:
@@ -46,9 +45,7 @@ def coupling_degree_list(circuit: QuantumCircuit) -> List[Tuple[int, int]]:
         A list of ``(qubit_index, coupling_degree)`` pairs.  Ties are broken
         by qubit index so the ordering is deterministic.
     """
-    degrees = coupling_degrees(circuit)
-    order = sorted(range(circuit.num_qubits), key=lambda q: (-int(degrees[q]), q))
-    return [(q, int(degrees[q])) for q in order]
+    return degree_list_of(coupling_strength_matrix(circuit))
 
 
 def coupling_graph(circuit: QuantumCircuit) -> nx.Graph:
@@ -59,21 +56,34 @@ def coupling_graph(circuit: QuantumCircuit) -> nx.Graph:
     with no two-qubit gates still appear as isolated vertices.
     """
     matrix = coupling_strength_matrix(circuit)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(circuit.num_qubits))
-    for i in range(circuit.num_qubits):
-        for j in range(i + 1, circuit.num_qubits):
-            if matrix[i, j] > 0:
-                graph.add_edge(i, j, weight=int(matrix[i, j]))
-    return graph
+    return graph_of(matrix.shape[0], weights_of(matrix))
 
 
 def edge_weights(circuit: QuantumCircuit) -> Dict[Tuple[int, int], int]:
     """Dictionary of ``(i, j) -> weight`` with ``i < j`` for coupled pairs only."""
-    matrix = coupling_strength_matrix(circuit)
-    weights: Dict[Tuple[int, int], int] = {}
-    for i in range(circuit.num_qubits):
-        for j in range(i + 1, circuit.num_qubits):
-            if matrix[i, j] > 0:
-                weights[(i, j)] = int(matrix[i, j])
-    return weights
+    return weights_of(coupling_strength_matrix(circuit))
+
+
+# -- derived from a strength matrix (the profiler computes the matrix once) --
+
+
+def degree_list_of(matrix: np.ndarray) -> List[Tuple[int, int]]:
+    """:func:`coupling_degree_list` of a strength matrix."""
+    degrees = matrix.sum(axis=1)
+    order = sorted(range(matrix.shape[0]), key=lambda q: (-int(degrees[q]), q))
+    return [(q, int(degrees[q])) for q in order]
+
+
+def weights_of(matrix: np.ndarray) -> Dict[Tuple[int, int], int]:
+    """:func:`edge_weights` of a strength matrix, pairs in row-major order."""
+    rows, cols = np.nonzero(np.triu(matrix, k=1))
+    return {(int(i), int(j)): int(matrix[i, j]) for i, j in zip(rows, cols)}
+
+
+def graph_of(num_qubits: int, weights: Dict[Tuple[int, int], int]) -> nx.Graph:
+    """:func:`coupling_graph` from :func:`weights_of` a strength matrix."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(num_qubits))
+    for (i, j), weight in weights.items():
+        graph.add_edge(i, j, weight=weight)
+    return graph

@@ -10,10 +10,10 @@ import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.profiling.coupling import (
-    coupling_degree_list,
-    coupling_graph,
     coupling_strength_matrix,
-    edge_weights,
+    degree_list_of,
+    graph_of,
+    weights_of,
 )
 
 
@@ -82,16 +82,19 @@ def profile_circuit(circuit: QuantumCircuit) -> CircuitProfile:
     """Profile a circuit per paper Section 3.1.
 
     Single-qubit gates, initialization, and measurement operations are
-    ignored; only the two-qubit gate structure is extracted.
+    ignored; only the two-qubit gate structure is extracted.  The
+    strength matrix is counted once, from the circuit's lowered IR, and
+    everything else is derived from it.
     """
     matrix = coupling_strength_matrix(circuit)
+    weights = weights_of(matrix)
     return CircuitProfile(
         circuit_name=circuit.name,
         num_qubits=circuit.num_qubits,
         strength_matrix=matrix,
-        degree_list=coupling_degree_list(circuit),
-        graph=coupling_graph(circuit),
-        num_two_qubit_gates=circuit.num_two_qubit_gates,
+        degree_list=degree_list_of(matrix),
+        graph=graph_of(circuit.num_qubits, weights),
+        num_two_qubit_gates=circuit.lowered().num_two_qubit,
         num_gates=len(circuit),
-        _edge_weights=edge_weights(circuit),
+        _edge_weights=weights,
     )

@@ -431,10 +431,22 @@ class _PhantomConfig(RuntimeConfig):
 
 @dataclasses.dataclass(frozen=True)
 class _CoveredConfig(_PhantomConfig):
-    """The same knob, but digested via the inherited asdict payload."""
+    """The same knob, digested via the inherited asdict payload and coerced
+    to its declared type, as every real numeric field is."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "phantom_knob", int(self.phantom_knob))
 
     def payload(self):
         return RuntimeConfig.payload(self)
+
+
+@dataclasses.dataclass(frozen=True)
+class _UncoercedConfig(RuntimeConfig):
+    """A digested knob that skips coercion: 1.0 and 1 spell two digests."""
+
+    spelled_knob: float = 0.5
 
 
 def test_synthetic_undigested_field_fails_digest_probe():
@@ -448,6 +460,15 @@ def test_synthetic_undigested_field_fails_digest_probe():
 
 def test_synthetic_digested_field_passes_digest_probe():
     assert probe_digest_fields(_CoveredConfig) == []
+
+
+def test_synthetic_uncoerced_field_fails_spelling_probe():
+    findings = probe_digest_fields(_UncoercedConfig)
+    assert len(findings) == 1
+    (finding,) = findings
+    assert finding.rule == "REPRO-C301"
+    assert finding.context == "field spelled_knob"
+    assert "spellings 1.0 and 1" in finding.message
 
 
 def test_doctored_engine_source_fails_key_coverage():

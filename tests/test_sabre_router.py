@@ -126,6 +126,86 @@ class TestRoutingVerification:
         with pytest.raises(AssertionError):
             verify_routing(line_circuit, corrupted, arch, result.initial_mapping)
 
+    @staticmethod
+    def _rebuilt(routed, gates):
+        circuit = QuantumCircuit(routed.num_qubits, name=routed.name)
+        circuit.extend(gates)
+        return circuit
+
+    def test_verify_rejects_gate_on_wrong_coupled_pair(self, line_circuit):
+        arch = chain_architecture(6)
+        result = route_circuit(line_circuit, arch)
+        gates = list(result.routed_circuit.gates)
+        index = next(i for i, gate in enumerate(gates) if gate.name == "cx")
+        original = set(gates[index].qubits)
+        wrong = next(edge for edge in arch.coupling_edges() if set(edge) != original)
+        gates[index] = cx(*wrong)
+        with pytest.raises(AssertionError):
+            verify_routing(line_circuit, self._rebuilt(result.routed_circuit, gates),
+                           arch, result.initial_mapping)
+
+    def test_verify_rejects_dependent_gates_reordered(self, line_circuit):
+        arch = chain_architecture(6)
+        result = route_circuit(line_circuit, arch)
+        gates = list(result.routed_circuit.gates)
+        index = next(
+            i for i in range(len(gates) - 1)
+            if "swap" not in (gates[i].name, gates[i + 1].name)
+            and set(gates[i].qubits) & set(gates[i + 1].qubits)
+            and gates[i] != gates[i + 1]
+        )
+        gates[index], gates[index + 1] = gates[index + 1], gates[index]
+        with pytest.raises(AssertionError):
+            verify_routing(line_circuit, self._rebuilt(result.routed_circuit, gates),
+                           arch, result.initial_mapping)
+
+    def test_verify_rejects_duplicated_gate(self, line_circuit):
+        arch = chain_architecture(6)
+        result = route_circuit(line_circuit, arch)
+        gates = list(result.routed_circuit.gates)
+        index = next(i for i, gate in enumerate(gates) if gate.name != "swap")
+        gates.insert(index + 1, gates[index])
+        with pytest.raises(AssertionError):
+            verify_routing(line_circuit, self._rebuilt(result.routed_circuit, gates),
+                           arch, result.initial_mapping)
+
+    def test_verify_rejects_changed_rotation_parameter(self):
+        from repro.benchmarks import ising_model_circuit
+        from repro.circuit.gates import Gate
+
+        circuit = ising_model_circuit(4, trotter_steps=1)
+        arch = chain_architecture(4)
+        result = route_circuit(circuit, arch)
+        verify_routing(circuit, result.routed_circuit, arch, result.initial_mapping)
+        gates = list(result.routed_circuit.gates)
+        index = next(i for i, gate in enumerate(gates) if gate.params)
+        gate = gates[index]
+        gates[index] = Gate(gate.name, gate.qubits, (gate.params[0] + 0.1,) + gate.params[1:])
+        with pytest.raises(AssertionError):
+            verify_routing(circuit, self._rebuilt(result.routed_circuit, gates),
+                           arch, result.initial_mapping)
+
+    def test_program_swap_is_not_mistaken_for_routing_swap(self):
+        """The first physical swap(0, 1) is the program's own swap (the mapping
+        stays put); the second is a routing swap that moves logical 0 next to
+        logical 2.  Reading either the other way fails the replay."""
+        from repro.circuit.gates import swap
+
+        circuit = QuantumCircuit(3, name="program_swap")
+        circuit.extend([swap(0, 1), cx(0, 2)])
+        arch = chain_architecture(3)
+        identity = {0: 0, 1: 1, 2: 2}
+        routed = QuantumCircuit(3).extend([swap(0, 1), swap(0, 1), cx(1, 2)])
+        verify_routing(circuit, routed, arch, identity)
+        # Without the routing swap, cx lands on the uncoupled pair (0, 2).
+        with pytest.raises(AssertionError):
+            verify_routing(circuit, QuantumCircuit(3).extend([swap(0, 1), cx(0, 2)]),
+                           arch, identity)
+        # Without the program swap, the program's swap never executes.
+        with pytest.raises(AssertionError):
+            verify_routing(circuit, QuantumCircuit(3).extend([swap(0, 1), cx(1, 2)]),
+                           arch, identity)
+
 
 class TestEscapeHatches:
     def test_force_route_path_still_verifies(self):
@@ -273,3 +353,35 @@ class TestDenseCouplingAdvantage:
         arch = DesignFlow(circuit, DesignOptions(local_trials=200)).design(0)
         result = route_circuit(circuit, arch)
         assert result.num_swaps == 0
+
+
+class TestRoutedCircuitGoldens:
+    """Routed circuits pinned gate for gate (SHA-256 over the name, register
+    size and every gate's (name, qubits, params)), recorded before routing
+    moved onto the flat integer IR: the routed output built at the API edge
+    must not change."""
+
+    DIGESTS = {
+        ("sym6_145", 1): "1dfb63551a922d1705a5929ee3322f5a266fb7092e3fa40c7e43d87f78e143a0",
+        ("sym6_145", 3): "07923a1bed680a495f12bb50b2a7142c7af958651a2dc26e233dc2a6ebe65bb8",
+        ("ising_model_16", 1):
+            "25f0a20bd72e36096fc39946d40c883799f51d8739a989517babdfe74bde6764",
+        ("ising_model_16", 3):
+            "ec55235fe4ef4afe033a482896ed68d54a35b6cae81b88ea3916ef06227d32d2",
+    }
+
+    @pytest.mark.parametrize("benchmark_name,passes", sorted(DIGESTS))
+    def test_routed_circuit_digest(self, benchmark_name, passes):
+        import hashlib
+
+        from repro.benchmarks import get_benchmark
+
+        result = route_circuit(
+            get_benchmark(benchmark_name), ibm_16q_2x8(use_four_qubit_buses=True),
+            parameters=SabreParameters(passes=passes), keep_routed_circuit=True,
+        )
+        routed = result.routed_circuit
+        digest = hashlib.sha256(repr((routed.name, routed.num_qubits)).encode())
+        for gate in routed.gates:
+            digest.update(repr((gate.name, gate.qubits, gate.params)).encode())
+        assert digest.hexdigest() == self.DIGESTS[(benchmark_name, passes)]
